@@ -3,11 +3,17 @@
 The symbol A(xi) = A1 xi1 + A2 xi2 + A3 xi3 is built from the three
 coefficient matrices of the first-order system.  Away from the complex
 cone {xi : sum xi_j^2 = 0} it has two simple eigenvalues
-+-(sum xi_j^2)^{1/2} (principal square-root branch).  All spectral
-quantities below (eigenvalues, projections, partial inverse, projection
-derivative) are holomorphic on |Im xi| < |Re xi|, where sum xi_j^2
-stays off the branch cut (-inf, 0].
++-(sum xi_j^2)^{1/2} (principal square-root branch).
 
+``projector`` is defined wherever sum xi_j^2 lies off the branch cut
+(-inf, 0] and raises ContinuationError on it.  That covers the
+stretched conormals of the absorbing layer, most of which lie outside
+the cone |Im xi| < |Re xi|.  ``eigenvalues`` and ``partial_inverse``
+keep to that cone, on which sum xi_j^2 stays off the cut, and raise
+DomainError outside it.
+
+``symbol``, ``quadratic`` and ``projector`` take directions of shape
+(..., 3) with any leading axes; ``principal_sqrt`` works elementwise.
 Everything here is a pure function of its arguments.
 """
 
@@ -15,13 +21,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ContinuationError, DomainError
 
 __all__ = [
     "pauli_matrices",
     "symbol",
     "det_L",
     "quadratic",
+    "principal_sqrt",
     "eigenvalues",
     "projector",
     "partial_inverse",
@@ -42,14 +49,36 @@ def pauli_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def symbol(xi) -> np.ndarray:
     """Symbol A(xi) = [[xi1, xi2 + i xi3], [xi2 - i xi3, -xi1]]."""
-    x1, x2, x3 = np.asarray(xi, dtype=complex)
-    return np.array([[x1, x2 + 1j * x3], [x2 - 1j * x3, -x1]])
+    xi = np.asarray(xi, dtype=complex)
+    x1, x2, x3 = xi[..., 0], xi[..., 1], xi[..., 2]
+    a = np.empty(xi.shape[:-1] + (2, 2), dtype=complex)
+    a[..., 0, 0], a[..., 0, 1] = x1, x2 + 1j * x3
+    a[..., 1, 0], a[..., 1, 1] = x2 - 1j * x3, -x1
+    return a
 
 
-def quadratic(xi) -> complex:
+def quadratic(xi):
     """Holomorphic quadratic form sum_j xi_j^2 (NOT |xi|^2)."""
     xi = np.asarray(xi, dtype=complex)
-    return complex(np.sum(xi * xi))
+    q = np.sum(xi * xi, axis=-1)
+    return complex(q) if q.ndim == 0 else q
+
+
+def principal_sqrt(z):
+    """Principal square root, rejecting the branch cut.
+
+    Raises ContinuationError when z lies on (-inf, 0] up to a relative
+    tolerance, since values straddling the cut cannot be continued.
+    Elementwise on arrays; a scalar gives a complex.
+    """
+    z = np.asarray(z, dtype=complex)
+    cut = (z.real <= 0) & (np.abs(z.imag)
+                           <= 1e-13 * np.maximum(1.0, np.abs(z.real)))
+    if np.any(cut):
+        raise ContinuationError(
+            f"radicand {complex(z[cut][0])} on the branch cut (-inf, 0]")
+    root = np.sqrt(z)
+    return complex(root) if root.ndim == 0 else root
 
 
 def det_L(tau: complex, xi) -> complex:
@@ -85,15 +114,16 @@ def eigenvalues(xi) -> tuple[complex, complex]:
 
 def projector(sign: int, xi) -> np.ndarray:
     """Spectral projection pi^{+-}(xi) = (I +- A(xi)/lambda)/2 onto the
-    eigenspace of A(xi) with eigenvalue +-lambda.
+    eigenspace of A(xi) with eigenvalue +-lambda, for real or complex
+    directions xi of shape (..., 3).
 
-    ``sign`` is +1 or -1.  Raises DomainError outside the holomorphy
-    domain.
+    ``sign`` is +1 or -1.  Raises ContinuationError where sum xi_j^2
+    lies on the branch cut (-inf, 0].
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    lam = _lambda_plus(xi)
-    return 0.5 * (sign * symbol(xi) / lam + _I2)
+    lam = np.asarray(principal_sqrt(quadratic(xi)))
+    return 0.5 * (sign * symbol(xi) / lam[..., None, None] + _I2)
 
 
 def partial_inverse(xi) -> np.ndarray:

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,7 +86,6 @@ class ExperimentConfig:
     cfl: float = 0.5
     stride: int = 2
     lam: float = 1.0
-    tolerance_scale: float = 1.0
 
     def box(self) -> BoxDomain:
         return BoxDomain((self.half_length,) * 3, self.inner_fraction)
@@ -375,8 +373,6 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--seed", type=int, default=None,
                     help="override the config seed")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="BLAS/OpenMP thread cap")
     ap.add_argument("--list", action="store_true",
                     help="list experiment kinds and exit")
     ap.add_argument("--tolerance-scale", type=float, default=1.0,
@@ -388,10 +384,6 @@ def main(argv=None) -> int:
         return 0
     if args.config is None:
         ap.error("config file required unless --list is given")
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         cfg = parse_config(args.config)
     except (ParseError, ValidationError, OSError) as exc:
@@ -399,7 +391,6 @@ def main(argv=None) -> int:
         return 1
     if args.seed is not None:
         cfg.seed = args.seed
-    cfg.tolerance_scale = args.tolerance_scale
     return run_experiment(cfg, args.out, args.tolerance_scale)
 
 

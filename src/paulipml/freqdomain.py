@@ -27,6 +27,7 @@ as the production solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,8 +35,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import (AssemblyError, NonConvergenceError,
                      SingularOperatorError)
-from .geometry import face_axis_sign, face_normal
-from .stretching import StretchContext, principal_sqrt
+from .geometry import faces
+from .stretching import StretchContext
 from .timedomain import Grid
 from . import algebra
 
@@ -53,15 +54,19 @@ __all__ = [
 _DIRECT_LIMIT = 600_000  # unknowns; beyond this use the iterative path
 
 
+def _centered(u: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Centered d/dx on the full array (one-sided 2nd order at ends)."""
+    u = np.moveaxis(u, axis, 0)
+    out = np.empty_like(u)
+    out[1:-1] = (u[2:] - u[:-2]) / 2.0
+    out[0] = (-1.5 * u[0] + 2.0 * u[1] - 0.5 * u[2])
+    out[-1] = (1.5 * u[-1] - 2.0 * u[-2] + 0.5 * u[-3])
+    return np.moveaxis(out / h, 0, axis)
+
+
 def _deriv1d(n: int, h: float) -> sp.csr_matrix:
-    """2nd-order d/dx: centered interior, one-sided at the two ends."""
-    d = sp.lil_matrix((n, n))
-    for i in range(1, n - 1):
-        d[i, i - 1] = -0.5
-        d[i, i + 1] = 0.5
-    d[0, 0], d[0, 1], d[0, 2] = -1.5, 2.0, -0.5
-    d[n - 1, n - 1], d[n - 1, n - 2], d[n - 1, n - 3] = 1.5, -2.0, 0.5
-    return (d / h).tocsr()
+    """The stencil of ``_centered`` as an n x n sparse matrix."""
+    return sp.csr_matrix(_centered(np.eye(n), 0, h))
 
 
 def _axis_operator(grid: Grid, j: int, ratio_1d: np.ndarray) -> sp.csr_matrix:
@@ -76,13 +81,9 @@ def _axis_operator(grid: Grid, j: int, ratio_1d: np.ndarray) -> sp.csr_matrix:
 
 def _node_flags(shape) -> np.ndarray:
     """Per node, bitmask of the faces it lies on (bit k-1 for face k)."""
-    n1, n2, n3 = shape
     flags = np.zeros(shape, dtype=np.int8)
-    for k in range(1, 7):
-        axis, sign = face_axis_sign(k)
-        idx = [slice(None)] * 3
-        idx[axis] = -1 if sign > 0 else 0
-        flags[tuple(idx)] |= 1 << (k - 1)
+    for k, _, _, _, index in faces():
+        flags[index] |= 1 << (k - 1)
     return flags.ravel()
 
 
@@ -138,18 +139,16 @@ def assemble_stretched(ctx: StretchContext, grid: Grid,
     eye2 = np.eye(2, dtype=complex)
     interior = flags == 0
     s_blocks[interior] = eye2
-    single = {}
-    for k in range(1, 7):
-        nu = face_normal(k)
-        single[k] = (algebra.projector(+1, nu), algebra.projector(-1, nu))
+    single = {k: (algebra.projector(+1, nu), algebra.projector(-1, nu))
+              for k, _, _, nu, _ in faces()}
     for node in np.nonzero(flags)[0]:
-        faces = [k for k in range(1, 7) if flags[node] & (1 << (k - 1))]
-        if len(faces) == 1:
-            pip, pim = single[faces[0]]
+        on = [k for k in range(1, 7) if flags[node] & (1 << (k - 1))]
+        if len(on) == 1:
+            pip, pim = single[on[0]]
             s_blocks[node] = pip
             p_blocks[node] = pim
         else:
-            for k in faces:
+            for k in on:
                 p_blocks[node] += single[k][1]
 
     def block_diag(blocks):
@@ -195,16 +194,6 @@ def solve(op: SparseComplexOperator, rtol: float = 1e-8) -> np.ndarray:
 
 
 # -- residual diagnostics ---------------------------------------------
-
-def _centered(u: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Centered d/dx on the full array (one-sided 2nd order at ends)."""
-    u = np.moveaxis(u, axis, 0)
-    out = np.empty_like(u)
-    out[1:-1] = (u[2:] - u[:-2]) / 2.0
-    out[0] = (-1.5 * u[0] + 2.0 * u[1] - 0.5 * u[2])
-    out[-1] = (1.5 * u[-1] - 2.0 * u[-2] + 0.5 * u[-3])
-    return np.moveaxis(out / h, 0, axis)
-
 
 def helmholtz_vs_stretched(u: np.ndarray, ctx: StretchContext, grid: Grid,
                            F: np.ndarray) -> np.ndarray:
@@ -296,33 +285,15 @@ def second_bc_residual(u: np.ndarray, ctx: StretchContext, grid: Grid,
     grads = [_probe_deriv(u, j + 1, h[j]) for j in range(3)]
     out = {}
     worst = 0.0
-    for k in range(1, 7):
-        axis, sign = face_axis_sign(k)
-        nu = face_normal(k)
-        idx = [slice(None)] * 3
-        idx[axis] = -1 if sign > 0 else 0
-        sl = (slice(None),) + tuple(idx)
-        uf = u[sl]
-        xf = np.moveaxis(np.stack([x[m][tuple(idx)] for m in range(3)]),
-                         0, -1)
-        r = ctx.ratios(xf)
+    for k, axis, _, nu, index in faces():
+        sl = (slice(None),) + index
+        r = ctx.ratios(np.moveaxis(x[sl], 0, -1))
         nt = nu * r
-        q = np.einsum("...j,...j->...", nt, nt)
-        norm = np.sqrt(q)  # principal branch; Re tau > 0 keeps it off the cut
-        if np.any(q.real <= 0) and np.any(np.abs(q.imag) < 1e-13):
-            raise ArithmeticError("transverse normalizer on the branch cut")
+        pip = algebra.projector(+1, nt)
+        norm = algebra.principal_sqrt(algebra.quadratic(nt))
         vcoef = nu * r ** 2 / norm[..., None]
         Vu = sum(vcoef[None, ..., m] * grads[m][sl] for m in range(3))
-        expr = Vu + ctx.tau * uf
-        # project with pi^+(nu~) pointwise
-        lam = norm
-        a_nt = np.zeros(uf.shape[1:] + (2, 2), dtype=complex)
-        a_nt[..., 0, 0] = nt[..., 0]
-        a_nt[..., 0, 1] = nt[..., 1] + 1j * nt[..., 2]
-        a_nt[..., 1, 0] = nt[..., 1] - 1j * nt[..., 2]
-        a_nt[..., 1, 1] = -nt[..., 0]
-        pip = 0.5 * (a_nt / lam[..., None, None]
-                     + np.eye(2)[None, None])
+        expr = Vu + ctx.tau * u[sl]
         proj = np.einsum("...ab,b...->a...", pip, expr)
         resid = np.sqrt(np.sum(np.abs(proj) ** 2, axis=0))
         i1, i2 = [i for i in range(3) if i != axis]
@@ -364,7 +335,7 @@ class HelmholtzAssembly:
     mass: sp.csr_matrix
     boundary: sp.csr_matrix
 
-    @property
+    @cached_property
     def operator(self) -> sp.csr_matrix:
         return self.stiffness + self.mass + self.boundary
 
@@ -388,13 +359,9 @@ class HelmholtzAssembly:
         """Constrain face nodes to the outgoing eigenspace E+(nu) and
         zero multi-face nodes."""
         out = u.copy()
-        for k in range(1, 7):
-            nu = face_normal(k)
+        for _, _, _, nu, index in faces():
             pip = algebra.projector(+1, nu)
-            axis, sign = face_axis_sign(k)
-            idx = [slice(None)] * 3
-            idx[axis] = -1 if sign > 0 else 0
-            sl = (slice(None),) + tuple(idx)
+            sl = (slice(None),) + index
             out[sl] = np.einsum("ab,b...->a...", pip, out[sl])
         flags = _node_flags(self.grid.shape)
         nbits = sum((flags >> b) & 1 for b in range(6))
@@ -404,13 +371,9 @@ class HelmholtzAssembly:
     def project_test(self, v: np.ndarray) -> np.ndarray:
         """Constrain face nodes of the test field to ker pi^+(nu)^T."""
         out = v.copy()
-        for k in range(1, 7):
-            nu = face_normal(k)
+        for _, _, _, nu, index in faces():
             pim_t = algebra.projector(-1, nu).T
-            axis, sign = face_axis_sign(k)
-            idx = [slice(None)] * 3
-            idx[axis] = -1 if sign > 0 else 0
-            sl = (slice(None),) + tuple(idx)
+            sl = (slice(None),) + index
             out[sl] = np.einsum("ab,b...->a...", pim_t, out[sl])
         return out
 
@@ -497,23 +460,14 @@ def assemble_helmholtz(ctx: StretchContext, grid: Grid) -> HelmholtzAssembly:
 
     # boundary term: bilinear elements on each face, coefficient Phi*tau
     # (mean curvature vanishes on the flat faces, so beta = tau)
+    fnodes = [(a, b) for a in range(2) for b in range(2)]
+    fphi = np.einsum("ap,bq->abpq", N1, N1).reshape(4, 4)
+    node_ids = np.arange(nscalar).reshape(grid.shape)
     Brows, Bcols, Bvals = [], [], []
-    for k in range(1, 7):
-        axis, sign = face_axis_sign(k)
-        nu = face_normal(k)
+    for _, axis, sign, _, index in faces():
         i1, i2 = [i for i in range(3) if i != axis]
-        fixed = grid.shape[axis] - 1 if sign > 0 else 0
         fe1, fe2 = grid.shape[i1] - 1, grid.shape[i2] - 1
         area_w = gw ** 2 * h[i1] * h[i2]
-        # 2D tabulation
-        fnodes = [(a, b) for a in range(2) for b in range(2)]
-        fphi = np.zeros((4, 4))
-        for ia, (a, b) in enumerate(fnodes):
-            ig = 0
-            for p in range(2):
-                for q in range(2):
-                    fphi[ia, ig] = N1[a, p] * N1[b, q]
-                    ig += 1
         # Phi * tau at the face Gauss points; sigma_axis at the face
         sfix = tau + ctx.profiles[axis](sign * grid.box.h[axis])
         g1 = tau + ctx.profiles[i1](gauss_axis(i1))
@@ -522,21 +476,13 @@ def assemble_helmholtz(ctx: StretchContext, grid: Grid) -> HelmholtzAssembly:
                 ).reshape(fe1 * fe2, 4)
         Pi_f = prod * sfix / tau ** 3
         rr = tau / sfix  # stretching ratio along the normal
-        norm_f = principal_sqrt(rr * rr)
+        norm_f = algebra.principal_sqrt(rr * rr)
         coef = Pi_f * norm_f * tau  # Phi * beta with beta = tau
         floc = np.einsum("cg,ag,bg->cab", coef, fphi, fphi) * area_w
 
-        fi, fj = np.meshgrid(np.arange(fe1), np.arange(fe2), indexing="ij")
-        fbase = np.zeros(3, dtype=int)
-        idx0 = np.zeros((fe1 * fe2,), dtype=int)
-        coords = np.zeros((fe1 * fe2, 3), dtype=int)
-        coords[:, axis] = fixed
-        coords[:, i1] = fi.ravel()
-        coords[:, i2] = fj.ravel()
-        idx0 = coords @ strides
         foff = np.array([a * strides[i1] + b * strides[i2]
                          for (a, b) in fnodes])
-        fconn = idx0[:, None] + foff[None, :]
+        fconn = node_ids[index][:-1, :-1].reshape(-1, 1) + foff[None, :]
         Brows.append(np.repeat(fconn, 4, axis=1).ravel())
         Bcols.append(np.tile(fconn, (1, 4)).ravel())
         Bvals.append(floc.reshape(-1))

@@ -31,6 +31,7 @@ __all__ = [
     "BoundaryPoint",
     "face_normal",
     "face_axis_sign",
+    "faces",
     "rounded_box_point",
     "sample_boundary",
     "singular_distance",
@@ -58,6 +59,19 @@ def face_axis_sign(k: int) -> tuple[int, int]:
     if not 1 <= k <= 6:
         raise IndexError(f"face index {k} outside 1..6")
     return (k - 1, -1) if k <= 3 else (k - 4, +1)
+
+
+def faces():
+    """Yield (k, axis, sign, normal, index) for the six faces, k = 1..6.
+
+    ``index`` picks the nodes of face k out of an (n1, n2, n3) node
+    array: the first or the last node along ``axis``.
+    """
+    for k in range(1, 7):
+        axis, sign = face_axis_sign(k)
+        index = [slice(None)] * 3
+        index[axis] = -1 if sign > 0 else 0
+        yield k, axis, sign, face_normal(k), tuple(index)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import fixed_quad
 
+from .algebra import principal_sqrt
 from .errors import ContinuationError
 from .geometry import BoundaryPoint
 from . import algebra
@@ -32,18 +33,6 @@ __all__ = [
     "principal_sqrt",
     "continuation_threshold",
 ]
-
-
-def principal_sqrt(z: complex) -> complex:
-    """Principal square root, rejecting the branch cut.
-
-    Raises ContinuationError when z lies on (-inf, 0] up to a relative
-    tolerance, since values straddling the cut cannot be continued.
-    """
-    z = complex(z)
-    if z.real <= 0 and abs(z.imag) <= 1e-13 * max(1.0, abs(z.real)):
-        raise ContinuationError(f"radicand {z} on the branch cut (-inf, 0]")
-    return complex(np.sqrt(z))
 
 
 @dataclass(frozen=True)
@@ -274,20 +263,12 @@ class StretchContext:
         nu0, H, _, _ = self.stretched_jet(bp)
         return nu0, H
 
-    def Phi_beta(self, bp: BoundaryPoint, delta: float | None = None
-                 ) -> tuple[complex, complex]:
+    def Phi_beta(self, bp: BoundaryPoint) -> tuple[complex, complex]:
         """Boundary weights Phi = Pi (sum nu_j^2 r_j^2)^{1/2} and
         beta = tau + 2 H, H the stretched mean curvature at bp."""
         phi = complex(self.Pi(bp.x)) * self._normalizer(bp.x, bp.nu)
         _, H = self.stretched_frame(bp)
         return phi, self.tau + 2.0 * H
-
-    # -- spectral projections of a complex direction ------------------
-
-    def _projector_c(self, sign: int, xi: np.ndarray) -> np.ndarray:
-        lam = principal_sqrt(algebra.quadratic(xi))
-        return 0.5 * (sign * algebra.symbol(xi) / lam
-                      + np.eye(2, dtype=complex))
 
     def m_matrix(self, bp: BoundaryPoint) -> np.ndarray:
         """Boundary defect matrix
@@ -300,8 +281,8 @@ class StretchContext:
         corners.
         """
         nt = self.nu_tilde(bp.x, bp.nu)
-        pi_m = self._projector_c(-1, nt)
-        pi_p = self._projector_c(+1, nt)
+        pi_m = algebra.projector(-1, nt)
+        pi_p = algebra.projector(+1, nt)
         return self.tau * pi_m.T @ (np.conj(pi_p) - pi_p.T)
 
 

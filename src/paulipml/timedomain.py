@@ -22,7 +22,7 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 from .errors import StabilityError, TruncationWarning
-from .geometry import BoxDomain, face_axis_sign, face_normal
+from .geometry import BoxDomain, faces
 from . import algebra
 
 __all__ = [
@@ -226,12 +226,6 @@ def rhs(state: SplitState, profiles, source: SourceSpec | None,
     return out
 
 
-def _face_slices(axis: int, sign: int):
-    idx = [slice(None)] * 3
-    idx[axis] = -1 if sign > 0 else 0
-    return tuple(idx)
-
-
 def apply_boundary(state: SplitState, grid: Grid) -> SplitState:
     """Project the trace onto the outgoing eigenspace on every face.
 
@@ -241,11 +235,9 @@ def apply_boundary(state: SplitState, grid: Grid) -> SplitState:
     lexicographic order; edge and corner nodes receive the corrections
     of all their faces sequentially.
     """
-    for k in range(1, 7):
-        axis, sign = face_axis_sign(k)
-        nu = face_normal(k)
+    for _, axis, _, nu, index in faces():
         pim = algebra.projector(-1, nu)
-        sl = (slice(None),) + _face_slices(axis, sign)
+        sl = (slice(None),) + index
         s = np.sum(state.U[(slice(None),) + sl], axis=0)
         state.U[(axis,) + sl] -= _apply_matrix(pim, s)
     return state
@@ -347,10 +339,8 @@ def _boundary_norm_sq(grid: Grid, s: np.ndarray) -> float:
     """Trapezoidal L2 norm squared of a field over the six faces."""
     total = 0.0
     h = grid.spacing
-    for k in range(1, 7):
-        axis, sign = face_axis_sign(k)
-        sl = (slice(None),) + _face_slices(axis, sign)
-        face = s[sl]
+    for _, axis, _, _, index in faces():
+        face = s[(slice(None),) + index]
         i1, i2 = [i for i in range(3) if i != axis]
         w1 = np.ones(grid.shape[i1]); w1[0] = w1[-1] = 0.5
         w2 = np.ones(grid.shape[i2]); w2[0] = w2[-1] = 0.5
@@ -426,10 +416,20 @@ def weighted_norms(rec: Recording, lam: float) -> dict:
 
 
 def _simpson_weights(times: np.ndarray) -> np.ndarray:
+    """Composite Simpson weights on uniformly spaced frames.  A leftover
+    interval gets the trapezoid rule: the last one of an even frame
+    count, and the short final interval that ``run`` leaves when the
+    step count is not a multiple of the stride."""
     n = len(times)
     if n < 3:
         return _time_weights(times)
     dt = times[1] - times[0]
+    last = times[-1] - times[-2]
+    if not np.isclose(last, dt):
+        w = np.zeros(n)
+        w[:-1] = _simpson_weights(times[:-1])
+        w[-2:] += 0.5 * last
+        return w
     m = n if n % 2 == 1 else n - 1
     w = np.zeros(n)
     w[0:m] = dt / 3.0

@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import (BoxDomain, RoundedBox, BoundaryPoint,
                        rounded_box_point, sample_boundary, singular_distance)
-from .stretching import AbsorptionProfile, StretchContext, principal_sqrt
+from .stretching import AbsorptionProfile, StretchContext
 from .timedomain import (Grid, SimConfig, gaussian_source, run,
                          laplace_of_trace)
 from . import algebra, freqdomain, timedomain
@@ -162,12 +162,6 @@ def _fd_partial(fun, x, j, h):
     e[j] = h
     return (fun(x - 2 * e) - 8 * fun(x - e)
             + 8 * fun(x + e) - fun(x + 2 * e)) / (12 * h)
-
-
-def _projector_c(sign, xi):
-    lam = principal_sqrt(algebra.quadratic(np.asarray(xi, dtype=complex)))
-    return 0.5 * (sign * algebra.symbol(xi) / lam
-                  + np.eye(2, dtype=complex))
 
 
 # -- stretched Helmholtz identity --------------------------------------
@@ -401,7 +395,7 @@ def check_transverse_identity(profiles, delta: float, tau_set,
             def u(x):
                 y = np.array([ctx.stretch_map(j, x[j]) for j in range(3)])
                 m = nu_y + B @ (y - y0)
-                return _projector_c(+1, m) @ w(y)
+                return algebra.projector(+1, m) @ w(y)
             return u
 
         def discrepancy(h, curv_factor=1.0):
@@ -409,7 +403,7 @@ def check_transverse_identity(profiles, delta: float, tau_set,
             for bp in bps:
                 nu_y, H, y0, B, vcoef = setup(bp)
                 u = u_factory(bp, nu_y, y0, B)
-                pip = _projector_c(+1, nu_y)
+                pip = algebra.projector(+1, nu_y)
                 r = ctx.ratios(bp.x)
                 grads = [_fd_partial(u, bp.x, j, h) for j in range(3)]
                 lhs = pip @ sum(r[j] * (A[j] @ grads[j]) for j in range(3))

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paulipml import algebra
-from paulipml.errors import DomainError
+from paulipml import geometry as geo
+from paulipml.errors import ContinuationError, DomainError
+from paulipml.stretching import AbsorptionProfile, StretchContext
 
 I2 = np.eye(2)
 
@@ -63,6 +65,32 @@ def test_domain_rejection_outside_cone():
         assert not algebra.in_holomorphy_domain(xi)
         with pytest.raises(DomainError):
             algebra.eigenvalues(xi)
+    # the projector needs only sum xi_j^2 off the cut: 2i is, -3 and 0 are not
+    assert np.allclose(algebra.projector(+1, [1.0 + 1.0j, 0, 0]),
+                       np.diag([1.0, 0]))
+    for xi in ([1.0, 2.0j, 0], [0.0, 0, 0]):
+        with pytest.raises(ContinuationError):
+            algebra.projector(+1, xi)
+
+
+def test_projector_stack_matches_pointwise():
+    """Directions with leading axes give exactly the pointwise
+    projectors, also for stretched conormals outside the cone."""
+    rng = np.random.default_rng(3)
+    free = rng.standard_normal((40, 3)) + 3j * rng.standard_normal((40, 3))
+    q = geo.RoundedBox(geo.BoxDomain((1.0, 1.0, 1.0)), delta=0.3)
+    ctx = StretchContext(0.1 + 1.0j, tuple(
+        AbsorptionProfile(a=0.5, b=1.0, sigma0=4.0) for _ in range(3)))
+    stretched = np.array([ctx.nu_tilde(bp.x, bp.nu)
+                          for bp, _ in geo.sample_boundary(q, density=2)])
+    assert not any(algebra.in_holomorphy_domain(x) for x in stretched)
+    xi = np.concatenate([free, stretched])
+    for sign in (+1, -1):
+        stack = algebra.projector(sign, xi.reshape(-1, 2, 3))
+        assert stack.shape == (len(xi) // 2, 2, 2, 2)
+        for i, x in enumerate(xi):
+            assert np.array_equal(stack[i // 2, i % 2],
+                                  algebra.projector(sign, x))
 
 
 # -- thousand-sample residual properties ---------------------------------

@@ -22,6 +22,16 @@ def test_face_normals_and_axes():
         assert nu[axis] == sign
         seen.append(tuple(nu))
     assert len(set(seen)) == 6
+    on_face = np.zeros((5, 6, 7), dtype=bool)
+    listed = list(geo.faces())
+    assert [f[0] for f in listed] == [1, 2, 3, 4, 5, 6]
+    for k, axis, sign, nu, index in listed:
+        assert (axis, sign) == geo.face_axis_sign(k)
+        assert np.array_equal(nu, geo.face_normal(k))
+        on_face[index] = True
+    boundary = np.ones((5, 6, 7), dtype=bool)
+    boundary[1:-1, 1:-1, 1:-1] = False
+    assert np.array_equal(on_face, boundary)
     with pytest.raises(IndexError):
         geo.face_normal(0)
     with pytest.raises(IndexError):

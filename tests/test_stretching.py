@@ -21,6 +21,10 @@ def test_principal_sqrt_branch():
     for z in (-1.0, 0.0, -4.0 + 1e-15j):
         with pytest.raises(ContinuationError):
             principal_sqrt(z)
+    assert np.array_equal(principal_sqrt(np.array([[4.0, -4.0 + 1e-3j]])),
+                          np.sqrt(np.array([[4.0, -4.0 + 1e-3j]])))
+    with pytest.raises(ContinuationError):
+        principal_sqrt(np.array([4.0, 2j, -1.0]))
 
 
 class TestAbsorptionProfile:

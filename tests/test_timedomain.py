@@ -157,6 +157,23 @@ def test_simpson_weights_integrate_cubics():
     assert np.sum(w) == pytest.approx(2.0)
 
 
+def test_simpson_weights_off_stride_final_frame(unit_box, zero_profiles):
+    """7 steps at stride 2 end on a short, off-stride frame; the weights
+    still sum to T and a constant transforms to (1 - e^{-tau T}) / tau."""
+    grid = td.Grid(unit_box, (9, 9, 9))
+    rec = td.run(td.SimConfig(grid, cfl=0.5, T=0.875, stride=2),
+                 zero_profiles, None)
+    assert np.allclose(rec.times, [0.0, 0.25, 0.5, 0.75, 0.875])
+    assert np.sum(td._simpson_weights(np.asarray(rec.times))) \
+        == pytest.approx(0.875, rel=1e-12)
+    g = np.ones((2, 9, 9, 9), dtype=complex)
+    rec.traces = [g] * len(rec.times)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        got = td.laplace_of_trace(rec, 1.0)
+    assert np.allclose(got, (1.0 - np.exp(-0.875)) * g, rtol=5e-3)
+
+
 def test_laplace_of_trace_closed_form(grid):
     """For s(t, x) = e^{-t} g(x) the truncated transform is
     (1 - e^{-(tau+1) T}) / (tau + 1) * g."""
