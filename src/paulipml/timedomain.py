@@ -416,10 +416,10 @@ def weighted_norms(rec: Recording, lam: float) -> dict:
 
 
 def _simpson_weights(times: np.ndarray) -> np.ndarray:
-    """Composite Simpson weights on uniformly spaced frames.  A leftover
-    interval gets the trapezoid rule: the last one of an even frame
-    count, and the short final interval that ``run`` leaves when the
-    step count is not a multiple of the stride."""
+    """Composite Simpson weights on uniformly spaced frames.  An even
+    frame count ends with the 3/8 rule on its last three intervals; the
+    short final interval that ``run`` leaves when the step count is not
+    a multiple of the stride gets the trapezoid rule."""
     n = len(times)
     if n < 3:
         return _time_weights(times)
@@ -430,15 +430,14 @@ def _simpson_weights(times: np.ndarray) -> np.ndarray:
         w[:-1] = _simpson_weights(times[:-1])
         w[-2:] += 0.5 * last
         return w
-    m = n if n % 2 == 1 else n - 1
+    m = n if n % 2 == 1 else n - 3  # frames under the Simpson rule
     w = np.zeros(n)
-    w[0:m] = dt / 3.0
-    w[1:m - 1:2] *= 4.0
-    w[2:m - 1:2] *= 2.0
+    if m > 1:
+        w[0:m] = dt / 3.0
+        w[1:m - 1:2] *= 4.0
+        w[2:m - 1:2] *= 2.0
     if n % 2 == 0:
-        # trapezoid on the last interval
-        w[-2] += 0.5 * dt
-        w[-1] += 0.5 * dt
+        w[-4:] += 0.375 * dt * np.array([1.0, 3.0, 3.0, 1.0])
     return w
 
 

@@ -3,10 +3,12 @@ solution, the cross-residuals, and the Petrov-Galerkin form."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from paulipml import freqdomain as fd
 from paulipml.algebra import pauli_matrices, projector
-from paulipml.errors import AssemblyError
+from paulipml.errors import AssemblyError, NonConvergenceError
 from paulipml.geometry import BoxDomain, face_axis_sign, face_normal
 from paulipml.stretching import AbsorptionProfile, StretchContext
 from paulipml.timedomain import Grid
@@ -128,6 +130,53 @@ def test_second_bc_returns_all_faces():
     assert sorted(faces) == [1, 2, 3, 4, 5, 6]
     assert worst >= 0.0
     assert faces[1].shape == (9, 9)
+
+
+def _bulk_operator(ctx, grid):
+    """tau + sum_j A_j K_j assembled without the boundary row
+    replacement."""
+    A = pauli_matrices()
+    nscalar = int(np.prod(grid.shape))
+    L = ctx.tau * sp.identity(2 * nscalar, dtype=complex)
+    for j in range(3):
+        ratio = ctx.tau / (ctx.tau + ctx.profiles[j](grid.axes[j]))
+        L = L + sp.kron(fd._axis_operator(grid, j, ratio), A[j])
+    return L.tocsr()
+
+
+@pytest.mark.parametrize("sigma0", [0.0, 1.0, 4.0])
+@pytest.mark.parametrize("tau", [2.0 + 1.0j, 4.0 - 4.0j, 2.0 + 8.0j])
+def test_bulk_inverse_is_exact(sigma0, tau, rng):
+    """The Schur-factored preconditioner inverts the bulk operator to
+    roundoff, including the near-defective sigma = 0 case."""
+    grid, ctx = _setup(9, tau=tau, sigma0=sigma0)
+    op = fd.assemble_stretched(ctx, grid, np.zeros((2, 9, 9, 9)))
+    v = (rng.standard_normal(op.dimension)
+         + 1j * rng.standard_normal(op.dimension))
+    back = fd._bulk_inverse(op)(_bulk_operator(ctx, grid) @ v)
+    assert np.linalg.norm(back - v) <= 1e-8 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("n, sigma0, tau", [
+    (7, 1.0, 2.0 + 1.0j), (9, 1.0, 2.0 + 1.0j),
+    (7, 0.0, 3.0 + 1.0j), (9, 0.0, 3.0 + 1.0j)])
+def test_solve_matches_sparse_lu(n, sigma0, tau):
+    """The preconditioned GMRES solve agrees with a sparse LU solve of
+    the same assembled system."""
+    grid, ctx = _setup(n, tau=tau, sigma0=sigma0)
+    op = fd.assemble_stretched(ctx, grid, _bump_source(grid))
+    u = fd.solve(op).transpose(1, 2, 3, 0).ravel()
+    ref = spla.splu(op.matrix).solve(op.rhs)
+    assert np.linalg.norm(u - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+def test_gmres_failure_is_typed(monkeypatch):
+    grid, ctx = _setup(7)
+    op = fd.assemble_stretched(ctx, grid, _bump_source(grid))
+    monkeypatch.setattr(fd.spla, "gmres",
+                        lambda A, b, **kw: (np.zeros_like(b), 10))
+    with pytest.raises(NonConvergenceError):
+        fd.solve(op)
 
 
 def test_unknown_ordering_node_major():

@@ -157,6 +157,16 @@ def test_simpson_weights_integrate_cubics():
     assert np.sum(w) == pytest.approx(2.0)
 
 
+def test_simpson_weights_even_frame_count():
+    """An even uniform frame count keeps 4th order: 8 frames of e^{-t}
+    on [0, 0.875] integrate to relative error below 1e-5 (a trapezoid
+    on the last interval gives 1.3e-4)."""
+    t = np.linspace(0.0, 0.875, 8)
+    exact = 1.0 - np.exp(-0.875)
+    got = np.dot(td._simpson_weights(t), np.exp(-t))
+    assert abs(got - exact) / exact < 1e-5
+
+
 def test_simpson_weights_off_stride_final_frame(unit_box, zero_profiles):
     """7 steps at stride 2 end on a short, off-stride frame; the weights
     still sum to T and a constant transforms to (1 - e^{-tau T}) / tau."""
