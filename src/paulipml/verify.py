@@ -11,6 +11,7 @@ control: a deliberately wrong expression must not converge.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,14 +41,66 @@ __all__ = [
 
 # -- report ------------------------------------------------------------
 
+_OPS = {"<": operator.lt, "<=": operator.le,
+        ">": operator.gt, ">=": operator.ge}
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """One pass condition on a report scalar, written
+    ``<name>: <key> <op> <bound> <scalable|fixed>``.
+
+    ``key`` names the scalar as ``<section>.<name>``, section one of
+    ``measured``, ``constants``, ``orders``.  At tolerance scale s a
+    scalable upper bound becomes ``bound * s`` and a scalable lower
+    bound ``bound / s``; a fixed criterion (a negative control, a
+    finiteness guard, an ordering) never moves.  NaN fails every op.
+    """
+
+    name: str
+    key: str
+    op: str
+    bound: float
+    scalable: bool = True
+
+    @staticmethod
+    def parse(text: str) -> "Criterion":
+        name, rest = text.split(": ", 1)
+        key, op, bound, mode = rest.split()
+        if op not in _OPS or mode not in ("scalable", "fixed"):
+            raise ValueError(f"malformed criterion {text!r}")
+        return Criterion(name, key, op, float(bound), mode == "scalable")
+
+    def __str__(self) -> str:
+        mode = "scalable" if self.scalable else "fixed"
+        return f"{self.name}: {self.key} {self.op} {self.bound} {mode}"
+
+    def holds(self, value: float, scale: float = 1.0) -> bool:
+        bound = self.bound
+        if self.scalable:
+            bound = bound * scale if self.op[0] == "<" else bound / scale
+        return _OPS[self.op](float(value), bound)
+
+    def margin(self, value: float) -> float:
+        """Distance from value to the bound, positive when it holds."""
+        return self.bound - value if self.op[0] == "<" else value - self.bound
+
+
+def _criteria(*texts) -> tuple:
+    return tuple(map(Criterion.parse, texts))
+
+
 @dataclass
 class CheckReport:
-    """Outcome of one named check.
+    """Outcome of one named check; it passes when every one of its
+    ``criteria`` holds, so a report without criteria passes.
 
     Serializes to a text document: ``key: value`` lines for scalars
     (sections check/verdict/param/measured/constant/order/tolerance/
-    note) followed by CSV tables, each opened by ``table: <name>`` and
-    closed by ``end-table``.
+    criterion/note) followed by CSV tables, each opened by ``table:
+    <name>`` and closed by ``end-table``.  ``criterion.`` prefixes each
+    criterion's own line, and ``tolerance.<name>: <bound>`` repeats the
+    bound of each scalable one.
     """
 
     name: str
@@ -55,30 +108,47 @@ class CheckReport:
     measured: dict = field(default_factory=dict)
     constants: dict = field(default_factory=dict)
     orders: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
+    criteria: tuple = ()
     notes: list = field(default_factory=list)
     tables: dict = field(default_factory=dict)
-    passed: bool = False
+
+    def value(self, key: str) -> float:
+        section, name = key.split(".", 1)
+        return float(getattr(self, section)[name])
+
+    def verdict(self, scale: float = 1.0) -> bool:
+        """True when every criterion holds at tolerance scale ``scale``."""
+        if not 0 < scale < np.inf:
+            raise ValueError(f"tolerance scale {scale} must be finite and > 0")
+        return all(c.holds(self.value(c.key), scale) for c in self.criteria)
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict()
 
     def to_text(self) -> str:
         lines = [f"check: {self.name}",
                  f"verdict: {'pass' if self.passed else 'fail'}"]
+        tolerances = {c.name: c.bound for c in self.criteria if c.scalable}
         for prefix, d in (("param", self.params),
                           ("measured", self.measured),
                           ("constant", self.constants),
                           ("order", self.orders),
-                          ("tolerance", self.tolerances)):
+                          ("tolerance", tolerances)):
             for k in sorted(d):
                 lines.append(f"{prefix}.{k}: {d[k]}")
+        lines += [f"criterion.{c}" for c in self.criteria]
         for n in self.notes:
             lines.append(f"note: {n}")
-        for tname, (header, rows) in self.tables.items():
-            lines.append(f"table: {tname}")
-            lines.append(",".join(header))
-            for row in rows:
-                lines.append(",".join(str(v) for v in row))
-            lines.append("end-table")
+        for tname in self.tables:
+            lines += [f"table: {tname}", self.csv(tname) + "end-table"]
         return "\n".join(lines) + "\n"
+
+    def csv(self, tname: str) -> str:
+        """Table ``tname`` as CSV text, header line first."""
+        header, rows = self.tables[tname]
+        return "".join(",".join(map(str, line)) + "\n"
+                       for line in [header, *rows])
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -87,6 +157,7 @@ class CheckReport:
     @staticmethod
     def from_text(text: str) -> "CheckReport":
         rep = CheckReport(name="")
+        verdict = None
         it = iter(text.splitlines())
         for line in it:
             if line.startswith("table: "):
@@ -105,16 +176,22 @@ class CheckReport:
             if key == "check":
                 rep.name = val
             elif key == "verdict":
-                rep.passed = val == "pass"
+                verdict = val
             elif key == "note":
                 rep.notes.append(val)
+            elif key.startswith("criterion."):
+                rep.criteria += _criteria(line[len("criterion."):])
             elif "." in key:
                 prefix, k = key.split(".", 1)
                 target = {"param": rep.params, "measured": rep.measured,
-                          "constant": rep.constants, "order": rep.orders,
-                          "tolerance": rep.tolerances}.get(prefix)
+                          "constant": rep.constants,
+                          "order": rep.orders}.get(prefix)
                 if target is not None:
                     target[k] = val
+        if verdict is not None and verdict != ("pass" if rep.passed
+                                               else "fail"):
+            raise ValueError(f"report {rep.name!r}: verdict {verdict!r} "
+                             "disagrees with its criteria")
         return rep
 
 
@@ -234,17 +311,17 @@ def check_helmholtz_identity(ctx: StretchContext, n_samples: int = 10,
     vals = [discrepancy(h) for h in steps]
     order = fit_order(vals)
     control = discrepancy(steps[-1], fudge=1.01)
-    rep = CheckReport(
+    return CheckReport(
         "helmholtz_identity",
         params={"tau": tau, "n_samples": n_samples, "seed": seed,
                 "steps": list(steps)},
         measured={"discrepancy": vals[-1], "per_step": vals,
-                  "negative_control": control},
+                  "negative_control": control,
+                  "control_ratio": control / max(vals[-1], 1e-300)},
         orders={"observed": order},
-        tolerances={"order_min": 3.5},
+        criteria=_criteria("order_min: orders.observed >= 3.5 scalable",
+                           "control: measured.control_ratio > 10 fixed"),
     )
-    rep.passed = order >= 3.5 and control > 10 * vals[-1]
-    return rep
 
 
 # -- Neumann identity ---------------------------------------------------
@@ -340,17 +417,17 @@ def check_neumann_identity(surface: str = "sphere", n_points: int = 15,
     vals = [discrepancy(h) for h in steps]
     order = fit_order(vals, factor=steps[0] / steps[1])
     control = discrepancy(steps[-1], curv_factor=2.0)
-    rep = CheckReport(
+    return CheckReport(
         "neumann_identity",
         params={"surface": surface, "n_points": len(points), "seed": seed,
                 "radius": radius, "delta": delta, "steps": list(steps)},
         measured={"discrepancy": vals[-1], "per_step": vals,
-                  "negative_control": control},
+                  "negative_control": control,
+                  "control_ratio": control / max(vals[-1], 1e-300)},
         orders={"observed": order},
-        tolerances={"order_min": 1.8},
+        criteria=_criteria("order_min: orders.observed >= 1.8 scalable",
+                           "control: measured.control_ratio > 10 fixed"),
     )
-    rep.passed = order >= 1.8 and control > 10 * vals[-1]
-    return rep
 
 
 # -- transverse identities ----------------------------------------------
@@ -421,18 +498,19 @@ def check_transverse_identity(profiles, delta: float, tau_set,
         worst_order = min(worst_order, order)
         worst_disc = max(worst_disc, vals[-1])
         worst_ctrl = min(worst_ctrl, ctrl / max(vals[-1], 1e-300))
-    rep = CheckReport(
+    return CheckReport(
         "transverse_identity",
         params={"delta": delta, "tau_set": [complex(t) for t in tau_set],
                 "n_points": len(bps), "seed": seed, "steps": list(steps)},
-        measured={"max_discrepancy": worst_disc},
+        measured={"max_discrepancy": worst_disc,
+                  "control_ratio": worst_ctrl},
         orders={"min_observed": worst_order},
-        tolerances={"order_min": 1.8},
+        criteria=_criteria(
+            "order_min: orders.min_observed >= 1.8 scalable",
+            "control: measured.control_ratio > 10 fixed"),
         tables={"per_tau": (["tau", "discrepancy", "order", "control"],
                             rows)},
     )
-    rep.passed = worst_order >= 1.8 and worst_ctrl > 10
-    return rep
 
 
 # -- coercivity ----------------------------------------------------------
@@ -497,17 +575,15 @@ def check_coercivity(profiles, grid: Grid, tau_list, n_fields: int = 100,
             rmin = min(rmin, aval / bundle)
         rows.append([tau, rmin, len(fields)])
         global_min = min(global_min, rmin)
-    rep = CheckReport(
+    return CheckReport(
         "coercivity",
         params={"grid": list(grid.shape),
                 "tau_list": [complex(t) for t in tau_list],
                 "n_fields": n_fields, "seed": seed},
         measured={"min_ratio": global_min},
-        tolerances={"ratio_min": 0.0},
+        criteria=_criteria("ratio_min: measured.min_ratio > 0 scalable"),
         tables={"per_tau": (["tau", "min_ratio", "n_fields"], rows)},
     )
-    rep.passed = global_min > 0
-    return rep
 
 
 # -- m-matrix bounds -----------------------------------------------------
@@ -557,7 +633,7 @@ def check_m_bounds(box: BoxDomain, profiles, delta_set, tau_set,
             grad_const = max(grad_const, c3)
     sups = np.array(list(sup_by_tau.values()))
     variation = float((sups.max() - sups.min()) / max(sups.max(), 1e-300))
-    rep = CheckReport(
+    return CheckReport(
         "m_bounds",
         params={"delta_set": list(delta_set),
                 "tau_set": [complex(t) for t in tau_set],
@@ -566,15 +642,15 @@ def check_m_bounds(box: BoxDomain, profiles, delta_set, tau_set,
                   "sup_variation": variation},
         constants={"sup_norm": float(sups.max()),
                    "grad_over_beta": grad_const},
-        tolerances={"face_far": 1e-12, "sup_variation": 0.10},
+        criteria=_criteria(
+            "face_far: measured.face_far_max <= 1e-12 scalable",
+            "sup_variation: measured.sup_variation <= 0.10 scalable",
+            "grad_finite: constants.grad_over_beta < inf fixed"),
         notes=["fractional-Sobolev interpolation bounds are not checked;"
                " only support, sup-norm and gradient bounds are"],
+        tables={"per_case": (["delta", "tau", "sup_m", "face_far",
+                              "grad_over_beta"], rows)},
     )
-    rep.passed = (face_far_max <= 1e-12 and variation <= 0.10
-                  and np.isfinite(grad_const))
-    rep.tables["per_case"] = (
-        ["delta", "tau", "sup_m", "face_far", "grad_over_beta"], rows)
-    return rep
 
 
 # -- reflection experiment -----------------------------------------------
@@ -630,37 +706,34 @@ def reflection_experiment(h: float = 1.0 / 16.0, a: float = 0.5,
     rec_ref = run(SimConfig(g_ref, cfl=cfl, T=T, stride=stride),
                   zero_ref, make_source(g_ref))
 
-    results = {}
+    pml_vals, bare_vals = [], []
     for width in widths:
         half = a + width
         g = make_grid(half)
         pml = tuple(AbsorptionProfile(a=a, b=half, sigma0=sigma0)
                     for _ in range(3))
-        rec = run(SimConfig(g, cfl=cfl, T=T, stride=stride), pml,
-                  make_source(g))
-        results[("pml", width)] = _reflection_metric(rec, rec_ref, a)
         bare = tuple(AbsorptionProfile.zero(half) for _ in range(3))
-        rec_b = run(SimConfig(g, cfl=cfl, T=T, stride=stride), bare,
-                    make_source(g))
-        results[("bare", width)] = _reflection_metric(rec_b, rec_ref, a)
+        for vals, profs in ((pml_vals, pml), (bare_vals, bare)):
+            rec = run(SimConfig(g, cfl=cfl, T=T, stride=stride), profs,
+                      make_source(g))
+            vals.append(_reflection_metric(rec, rec_ref, a))
 
     self_metric = _reflection_metric(rec_ref, rec_ref, a)
-    pml_vals = [results[("pml", w)] for w in widths]
-    bare_vals = [results[("bare", w)] for w in widths]
-    ordered = all(p < b for p, b in zip(pml_vals, bare_vals))
-    monotone = all(pml_vals[i + 1] < pml_vals[i]
-                   for i in range(len(widths) - 1))
-    rows = [[w, results[("pml", w)], results[("bare", w)]] for w in widths]
-    rep = CheckReport(
+    rows = [list(r) for r in zip(widths, pml_vals, bare_vals)]
+    return CheckReport(
         "reflection",
         params={"h": h, "a": a, "widths": list(widths), "sigma0": sigma0,
                 "T": T, "cfl": cfl, "ref_half": ref_half},
         measured={"self_metric": self_metric,
-                  "pml": pml_vals, "bare": bare_vals},
+                  "pml": pml_vals, "bare": bare_vals,
+                  "max_pml_minus_bare": max(np.subtract(pml_vals, bare_vals)),
+                  "max_pml_increase": max(np.diff(pml_vals), default=-np.inf)},
+        criteria=_criteria(
+            "self_zero: measured.self_metric <= 0 fixed",
+            "ordered: measured.max_pml_minus_bare < 0 fixed",
+            "monotone: measured.max_pml_increase < 0 fixed"),
         tables={"per_width": (["width", "pml_metric", "bare_metric"], rows)},
     )
-    rep.passed = ordered and monotone and self_metric == 0.0
-    return rep
 
 
 # -- Laplace consistency ---------------------------------------------------
@@ -721,19 +794,19 @@ def laplace_consistency(grid: Grid, profiles, tau_set, T: float = 10.0,
         rows.append([tau, rel, split_res])
         worst_rel = max(worst_rel, rel)
         worst_split = max(worst_split, split_res)
-    rep = CheckReport(
+    return CheckReport(
         "laplace_consistency",
         params={"grid": list(grid.shape),
                 "tau_set": [complex(t) for t in tau_set],
                 "T": T, "cfl": cfl},
         measured={"max_rel_difference": worst_rel,
                   "max_split_residual": worst_split},
-        tolerances={"rel_difference": 0.05, "split_residual": 1e-6},
+        criteria=_criteria(
+            "rel_difference: measured.max_rel_difference <= 0.05 scalable",
+            "split_residual: measured.max_split_residual <= 1e-6 scalable"),
         tables={"per_tau": (["tau", "rel_difference", "split_residual"],
                             rows)},
     )
-    rep.passed = worst_rel <= 0.05 and worst_split <= 1e-6
-    return rep
 
 
 # -- stretched-system estimate sampling ------------------------------------
@@ -781,18 +854,19 @@ def stretched_estimate(profiles, grid_sizes=(17, 25), M: float = 2.0,
             c_mesh = max(c_mesh, q1, q2, q3)
         fitted.append(c_mesh)
     stability = abs(fitted[0] - fitted[-1]) / max(fitted[-1], 1e-300)
-    rep = CheckReport(
+    return CheckReport(
         "stretched_estimate",
         params={"grid_sizes": list(grid_sizes), "M": M,
                 "tau_grid": tau_grid},
         measured={"stability": stability},
-        constants={f"C_n{n}": c for n, c in zip(grid_sizes, fitted)},
-        tolerances={"c_stability": 0.25},
+        constants={**{f"C_n{n}": c for n, c in zip(grid_sizes, fitted)},
+                   "C_max": float(np.max(fitted))},
+        criteria=_criteria(
+            "c_stability: measured.stability <= 0.25 scalable",
+            "c_finite: constants.C_max < inf fixed"),
         tables={"per_tau": (["n", "tau", "vol_ratio", "bdry_ratio",
                              "grad_ratio"], rows)},
     )
-    rep.passed = stability <= 0.25 and all(np.isfinite(fitted))
-    return rep
 
 
 # -- time-domain stability property ----------------------------------------
@@ -856,7 +930,7 @@ def check_stability(profiles, grid_sizes=(17, 25),
     m_after = float(np.max(maxima[i_off:]))
     blowup_ratio = m_after / max(m_off, 1e-300)
 
-    rep = CheckReport(
+    return CheckReport(
         "stability",
         params={"grid_sizes": list(grid_sizes), "lam_set": list(lam_set),
                 "T": T, "T_long": T_long, "cfl": cfl},
@@ -864,10 +938,9 @@ def check_stability(profiles, grid_sizes=(17, 25),
                   "refine_growth": refine_growth,
                   "blowup_ratio": blowup_ratio},
         constants={"dissipative_bound": 1.0},
-        tolerances={"fitted_c": 1.02, "refine_growth": 1.10,
-                    "blowup_ratio": 1.001},
+        criteria=_criteria(
+            "fitted_c: measured.fitted_c <= 1.02 scalable",
+            "refine_growth: measured.refine_growth <= 1.10 scalable",
+            "blowup_ratio: measured.blowup_ratio <= 1.001 scalable"),
         tables={"ratios": (["n", "lambda", "ratio"], rows)},
     )
-    rep.passed = (fitted_c <= 1.02 and refine_growth <= 1.10
-                  and blowup_ratio <= 1.001)
-    return rep

@@ -4,7 +4,7 @@ of the experiment runner."""
 import numpy as np
 import pytest
 
-from paulipml import cli
+from paulipml import cli, verify
 from paulipml.errors import ParseError, ValidationError
 
 
@@ -135,6 +135,36 @@ def test_impossible_tolerance_scale_is_exit_2(tmp_path, capsys):
                      "--tolerance-scale", "0.01"])
     assert code == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "inf", "nan"])
+def test_bad_tolerance_scale_is_rejected_before_running(tmp_path, capsys,
+                                                        scale):
+    cfgp = _write(tmp_path, GOOD)
+    out = tmp_path / "out"
+    code = cli.main([str(cfgp), "--out", str(out),
+                     "--tolerance-scale", scale])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scaled_run_still_fails_on_broken_control(tmp_path, monkeypatch,
+                                                  capsys):
+    """A loosened tolerance scale moves the order bound, never the
+    negative control: a helmholtz report whose control failed still
+    fails at scale 1.5."""
+    check = verify.check_helmholtz_identity
+
+    def broken_control(*args, **kwargs):
+        rep = check(*args, **kwargs)
+        rep.measured["control_ratio"] = 2.0
+        return rep
+
+    monkeypatch.setattr(verify, "check_helmholtz_identity", broken_control)
+    cfg = cli.parse_config(_write(tmp_path, GOOD))
+    assert cli.run_experiment(cfg, tmp_path / "out", 1.5) == 2
+    assert "helmholtz_identity: FAIL" in capsys.readouterr().out
 
 
 def test_timedomain_run_artifacts(tmp_path):

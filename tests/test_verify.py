@@ -16,37 +16,82 @@ def _profiles(sigma0=4.0):
 
 # -- reports -------------------------------------------------------------
 
-def test_report_round_trip():
-    rep = verify.CheckReport(
+def _demo_report(worst):
+    return verify.CheckReport(
         name="demo",
         params={"tau": "2+1j", "n": 13},
-        measured={"worst": 1.5e-3},
+        measured={"worst": worst, "control_ratio": 40.0},
         orders={"main": 3.9},
-        tolerances={"order": 3.5},
+        criteria=(verify.Criterion("worst_max", "measured.worst", "<=",
+                                   2e-3),
+                  verify.Criterion("control", "measured.control_ratio",
+                                   ">", 10.0, scalable=False)),
         notes=["first note", "second note"],
         tables={"rates": (["h", "err"], [[0.02, 1e-3], [0.01, 6e-5]])},
-        passed=True,
     )
-    text = rep.to_text()
-    back = verify.CheckReport.from_text(text)
-    assert back.name == "demo"
-    assert back.passed is True
-    assert back.params["tau"] == "2+1j"
-    assert float(back.measured["worst"]) == pytest.approx(1.5e-3)
-    assert back.notes == ["first note", "second note"]
-    header, rows = back.tables["rates"]
-    assert header == ["h", "err"]
-    assert float(rows[1][1]) == pytest.approx(6e-5)
-    # serialization is stable under a second round trip
-    assert back.to_text() == text
+
+
+def test_report_round_trip():
+    """Passing, failing and NaN reports keep their criteria and verdict
+    through the text format."""
+    for worst, passed in ((1.5e-3, True), (2.5e-3, False),
+                          (float("nan"), False)):
+        rep = _demo_report(worst)
+        assert rep.passed is passed
+        text = rep.to_text()
+        assert f"verdict: {'pass' if passed else 'fail'}" in text
+        assert "tolerance.worst_max: 0.002" in text
+        assert ("criterion.control: measured.control_ratio > 10.0 fixed"
+                in text)
+        back = verify.CheckReport.from_text(text)
+        assert back.name == "demo"
+        assert back.passed is passed
+        assert back.criteria == rep.criteria
+        assert back.params["tau"] == "2+1j"
+        assert back.value("measured.worst") == pytest.approx(worst,
+                                                             nan_ok=True)
+        assert back.notes == ["first note", "second note"]
+        header, rows = back.tables["rates"]
+        assert header == ["h", "err"]
+        assert float(rows[1][1]) == pytest.approx(6e-5)
+        # serialization is stable under a second round trip
+        assert back.to_text() == text
+
+
+def test_report_verdict_line_must_match_criteria():
+    text = _demo_report(1.5e-3).to_text().replace("verdict: pass",
+                                                  "verdict: fail")
+    with pytest.raises(ValueError, match="disagrees"):
+        verify.CheckReport.from_text(text)
+
+
+def test_malformed_criterion_is_rejected():
+    for text in ("c: measured.x == 1.0 fixed", "c: measured.x < 1.0 maybe"):
+        with pytest.raises(ValueError, match="malformed criterion"):
+            verify.Criterion.parse(text)
+
+
+def test_report_without_criteria_passes():
+    assert verify.CheckReport(name="run", measured={"x": 1.0}).passed
 
 
 def test_report_save(tmp_path):
-    rep = verify.CheckReport(name="x", passed=False)
+    rep = verify.CheckReport(
+        name="x", measured={"m": 2.0},
+        criteria=(verify.Criterion("m_max", "measured.m", "<=", 1.0),))
     p = tmp_path / "r.txt"
     rep.save(p)
-    assert verify.CheckReport.from_text(p.read_text()).name == "x"
+    back = verify.CheckReport.from_text(p.read_text())
+    assert back.name == "x"
+    assert back.passed is False
     assert "verdict: fail" in p.read_text()
+
+
+def test_tolerance_scale_must_be_finite_and_positive():
+    rep = _demo_report(1.5e-3)
+    for scale in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="tolerance scale"):
+            rep.verdict(scale)
 
 
 def test_fit_order():
