@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import dctn, idctn
@@ -31,6 +32,7 @@ __all__ = [
     "SourceSpec",
     "SimConfig",
     "Recording",
+    "Workspace",
     "gaussian_source",
     "diff4",
     "rhs",
@@ -76,18 +78,32 @@ class Grid:
 
     def norm(self, field) -> float:
         """Trapezoidal discrete L2 norm of a (2, n1, n2, n3) field."""
-        w = _trap_weights(self.shape)
+        w = self._trap_weights
         return float(np.sqrt(np.sum(w * np.abs(field) ** 2)
                              * self.cell_volume()))
 
+    @cached_property
+    def _trap_weights(self) -> np.ndarray:
+        """Trapezoid weights of the volume norm, built once per grid."""
+        w = [_trap_1d(n) for n in self.shape]
+        return w[0][:, None, None] * w[1][None, :, None] * w[2][None, None, :]
 
-def _trap_weights(shape) -> np.ndarray:
-    ws = []
-    for n in shape:
-        w = np.ones(n)
-        w[0] = w[-1] = 0.5
-        ws.append(w)
-    return ws[0][:, None, None] * ws[1][None, :, None] * ws[2][None, None, :]
+    @cached_property
+    def _face_weights(self) -> tuple:
+        """Trapezoid area weights of the faces normal to each axis."""
+        h = self.spacing
+        out = []
+        for axis in range(3):
+            i1, i2 = [i for i in range(3) if i != axis]
+            out.append(_trap_1d(self.shape[i1])[:, None]
+                       * _trap_1d(self.shape[i2])[None, :] * h[i1] * h[i2])
+        return tuple(out)
+
+
+def _trap_1d(n: int) -> np.ndarray:
+    w = np.ones(n)
+    w[0] = w[-1] = 0.5
+    return w
 
 
 @dataclass
@@ -128,8 +144,12 @@ class SourceSpec:
         if abs(sum(self.weights) - 1.0) > 1e-12:
             raise ValueError("splitting weights must sum to 1")
 
+    def active(self, t: float) -> bool:
+        """False where f(t) vanishes identically."""
+        return 0 <= t <= self.t_off
+
     def __call__(self, t: float) -> np.ndarray:
-        if t < 0 or t > self.t_off:
+        if not self.active(t):
             return np.zeros_like(self.spatial)
         return self.envelope(t) * self.spatial
 
@@ -177,52 +197,122 @@ class SimConfig:
             raise ValueError("stride must be >= 1")
 
 
-# -- spatial differencing ---------------------------------------------
+# -- the fused split-field kernel ---------------------------------------
 
-# 4th-order one-sided closures for the first two rows; interior central.
+# 4th-order one-sided closures for the first two rows, times 12, as the
+# (5, 2) matrices that map the five end nodes to the two end rows; the
+# interior stencil, times 12, is (1, -8, 0, 8, -1).
 _EDGE4 = np.array([
     [-25.0, 48.0, -36.0, 16.0, -3.0],
     [-3.0, -10.0, 18.0, -6.0, 1.0],
-]) / 12.0
+])
+_CLOSE_LOW = _EDGE4.T.copy()
+_CLOSE_HIGH = -_EDGE4[::-1, ::-1].T.copy()
+
+# A_j acting on a spinor v, one row per output component a:
+# (A_j v)_a = factor * v[source], stored as (source, factor).
+_PAULI_ACTION = (
+    ((0, 1.0), (1, -1.0)),   # A1 = diag(1, -1)
+    ((1, 1.0), (0, 1.0)),    # A2 swaps the components
+    ((1, 1j), (0, -1j)),     # A3 swaps them times +i, -i
+)
 
 
-def diff4(f: np.ndarray, axis: int, h: float) -> np.ndarray:
+def diff4(f: np.ndarray, axis: int, h: float, out: np.ndarray | None = None,
+          scaled: bool = True) -> np.ndarray:
     """d/dx along ``axis``: 4th-order central stencils in the interior,
-    4th-order one-sided within two cells of the ends."""
-    f = np.moveaxis(f, axis, 0)
-    out = np.empty_like(f)
-    out[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / 12.0
-    for r in range(2):
-        out[r] = np.tensordot(_EDGE4[r], f[:5], axes=(0, 0))
-        out[-1 - r] = -np.tensordot(_EDGE4[r], f[-1:-6:-1], axes=(0, 0))
-    out /= h
-    return np.moveaxis(out, 0, axis)
+    4th-order one-sided within two cells of the ends.
+
+    The result is written to ``out`` when given (C-contiguous, f's
+    shape, not overlapping f), and nothing else is allocated.
+    ``scaled=False`` leaves out the factor 1/(12 h), for callers that
+    fold it into their own coefficients.
+    """
+    f = np.ascontiguousarray(f)
+    if out is None:
+        out = np.empty_like(f)
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    axis %= f.ndim
+    # Interior on the flat arrays: one node along `axis` is `step`
+    # elements.  The two end rows on each side pick up wrong neighbours
+    # here and are overwritten by the closures below.
+    step = int(np.prod(f.shape[axis + 1:]))
+    g, o = f.reshape(-1), out.reshape(-1)
+    size = g.size
+    inner = o[2 * step:size - 2 * step]
+    np.subtract(g[3 * step:size - step], g[step:size - 3 * step], out=inner)
+    inner *= 8.0
+    inner += g[:size - 4 * step]
+    inner -= g[4 * step:]
+    g, o = np.moveaxis(f, axis, -1), np.moveaxis(out, axis, -1)
+    np.matmul(g[..., :5], _CLOSE_LOW, out=o[..., :2])
+    np.matmul(g[..., -5:], _CLOSE_HIGH, out=o[..., -2:])
+    if scaled:
+        out *= 1.0 / (12.0 * h)
+    return out
 
 
-def _apply_matrix(m: np.ndarray, field: np.ndarray) -> np.ndarray:
-    return np.einsum("ab,b...->a...", m, field)
+class Workspace:
+    """Everything the kernel would otherwise rebuild per call: the
+    absorption on each axis, the folded coefficients of -A_j d_j, and
+    the state, stage and scratch buffers.  ``run`` builds one and passes
+    it to every ``step``; a bare ``rhs`` or ``step`` builds its own.
+
+    ``coef[j]`` holds one (source, factor) pair per output component,
+    the factor being -(A_j)_{a,source} / (12 h_j).  ``sigma[j]`` is
+    sigma_j at the nodes, shaped to broadcast against one split field,
+    or None where sigma_j vanishes on the whole axis.
+    """
+
+    def __init__(self, grid: Grid, profiles):
+        shape = (3, 2) + tuple(grid.shape)
+        self.coef = [[(b, -c / (12.0 * h)) for b, c in _PAULI_ACTION[j]]
+                     for j, h in enumerate(grid.spacing)]
+        self.sigma = []
+        for j, (prof, x) in enumerate(zip(profiles, grid.axes)):
+            sig = np.asarray(prof(x), dtype=float)
+            along = [1, 1, 1]
+            along[j] = len(x)
+            self.sigma.append(sig.reshape(along) if sig.any() else None)
+        self.states = (np.empty(shape, complex), np.empty(shape, complex))
+        self.stage = np.empty(shape, complex)
+        self.k = np.empty(shape, complex)
+        self.trace = np.empty(shape[1:], complex)
+        self.scratch = np.empty(shape[1:], complex)
 
 
 def rhs(state: SplitState, profiles, source: SourceSpec | None,
-        t: float, grid: Grid) -> np.ndarray:
-    """Time derivative of the three split fields.
+        t: float, grid: Grid, work: Workspace | None = None,
+        out: np.ndarray | None = None) -> np.ndarray:
+    """Time derivative of the three split fields,
 
-    d_t U^j = -sigma_j U^j - A_j d_j s + f_j with s the trace.
+        d_t U^j = -sigma_j U^j - A_j d_j s + f_j,  s the trace,
+
+    written to ``out`` (default: the workspace's ``k`` buffer, so a bare
+    call returns a fresh array).  A source that is off at t adds
+    nothing.
     """
+    if work is None:
+        work = Workspace(grid, profiles)
+    if out is None:
+        out = work.k
+    U = state.U
+    s = np.add(U[0], U[1], out=work.trace)
+    s += U[2]
     h = grid.spacing
-    A = algebra.pauli_matrices()
-    s = state.trace
-    out = np.empty_like(state.U)
-    f = source(t) if source is not None else None
-    ax = grid.axes
     for j in range(3):
-        sig = profiles[j](ax[j])
-        shape = [1, 1, 1, 1]
-        shape[j + 1] = len(ax[j])
-        out[j] = (-sig.reshape(shape) * state.U[j]
-                  - _apply_matrix(A[j], diff4(s, j + 1, h[j])))
-        if f is not None:
-            out[j] += source.weights[j] * f
+        d = diff4(s, j + 1, h[j], out=work.scratch, scaled=False)
+        for a, (b, c) in enumerate(work.coef[j]):
+            np.multiply(d[b], c, out=out[j, a])
+        if work.sigma[j] is not None:
+            out[j] -= np.multiply(U[j], work.sigma[j], out=work.scratch)
+    if source is not None and source.active(t):
+        env = source.envelope(t)
+        for j in range(3):
+            np.multiply(source.spatial, source.weights[j] * env,
+                        out=work.scratch)
+            out[j] += work.scratch
     return out
 
 
@@ -239,34 +329,56 @@ def apply_boundary(state: SplitState, grid: Grid) -> SplitState:
         pim = algebra.projector(-1, nu)
         sl = (slice(None),) + index
         s = np.sum(state.U[(slice(None),) + sl], axis=0)
-        state.U[(axis,) + sl] -= _apply_matrix(pim, s)
+        state.U[(axis,) + sl] -= np.einsum("ab,b...->a...", pim, s)
     return state
 
 
 def step(state: SplitState, profiles, source: SourceSpec | None,
-         dt: float, grid: Grid) -> SplitState:
+         dt: float, grid: Grid, work: Workspace | None = None) -> SplitState:
     """One classical Runge-Kutta step; the boundary projection is
     applied once, after the combined update.  Projecting the internal
     stages as well looks more accurate but couples the face correction
     to the absorption term in a way that pumps energy at box edges
     (late-time exponential growth in long runs); the end-of-step
     projection is observed stable over tens of transit times.  Raises
-    StabilityError past the overflow guard."""
+    StabilityError past the overflow guard.
+
+    ``state`` is left untouched.  The new state is accumulated in
+    whichever of the workspace's two state buffers does not hold
+    ``state.U``, so successive steps alternate between them; without a
+    workspace the result is a fresh array.
+    """
+    if work is None:
+        work = Workspace(grid, profiles)
     t = state.t
-
-    def stage(y, tl):
-        return rhs(SplitState(y, tl), profiles, source, tl, grid)
-
     y = state.U
-    k1 = stage(y, t)
-    k2 = stage(y + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = stage(y + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = stage(y + dt * k3, t + dt)
-    new = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    out = apply_boundary(SplitState(new, t + dt), grid)
-    m = np.max(np.abs(out.U))
-    if not np.isfinite(m) or m > _OVERFLOW_GUARD:
-        raise StabilityError(f"field magnitude {m:.3g} at t = {out.t:.4g}")
+    acc = work.states[1] if y is work.states[0] else work.states[0]
+    yk = work.stage
+
+    # acc = k1 + 2 k2 + 2 k3 + k4, each stage folded in once the next
+    # stage input y + frac dt k has been formed from it
+    k = rhs(state, profiles, source, t, grid, work=work, out=acc)
+    for frac, weight in ((0.5, 0.0), (0.5, 2.0), (1.0, 2.0)):
+        np.multiply(k, frac * dt, out=yk)
+        yk += y
+        if weight:
+            k *= weight
+            acc += k
+        k = rhs(SplitState(yk, t + frac * dt), profiles, source,
+                t + frac * dt, grid, work=work)
+    acc += k
+    acc *= dt / 6.0
+    acc += y
+    out = apply_boundary(SplitState(acc, t + dt), grid)
+    # max |U| lies in [r, sqrt(2) r], r the largest |Re| or |Im|, so the
+    # exact magnitude is needed only when sqrt(2) r reaches the guard
+    parts = acc.view(float)
+    r = max(parts.max(), -parts.min())
+    if not r * np.sqrt(2.0) <= _OVERFLOW_GUARD:
+        m = float(np.max(np.abs(acc)))
+        if not np.isfinite(m) or m > _OVERFLOW_GUARD:
+            raise StabilityError(f"field magnitude {m:.3g} "
+                                 f"at t = {out.t:.4g}")
     return out
 
 
@@ -287,13 +399,13 @@ class Recording:
         return np.asarray(self.probe_values)
 
 
-def _probe_indices(grid: Grid, probes):
-    axes = grid.axes
-    out = []
-    for p in probes:
-        out.append(tuple(int(np.argmin(np.abs(axes[j] - p[j])))
-                         for j in range(3)))
-    return out
+def _probe_indices(grid: Grid, probes) -> tuple:
+    """The nodes nearest the probe points as one fancy index
+    (i1s, i2s, i3s) into the three grid axes; () without probes."""
+    if not probes:
+        return ()
+    return tuple(np.array([int(np.argmin(np.abs(x - p[j]))) for p in probes])
+                 for j, x in enumerate(grid.axes))
 
 
 def run(config: SimConfig, profiles, source: SourceSpec | None) -> Recording:
@@ -311,24 +423,24 @@ def run(config: SimConfig, profiles, source: SourceSpec | None) -> Recording:
         warnings.warn("sigma0 * dt exceeds 1; explicit absorption may be "
                       "inaccurate", stacklevel=2)
     state = SplitState.zeros(grid)
+    work = Workspace(grid, profiles)
     rec = Recording(grid, dt, probe_points=tuple(config.probes))
     pidx = _probe_indices(grid, config.probes)
 
     def record(st, istep):
         if istep % config.stride == 0 or istep == nsteps:
             rec.times.append(st.t)
-            rec.traces.append(st.trace.copy())
+            rec.traces.append(st.trace)
             if config.record_splits:
                 rec.splits.append(st.U.copy())
         if pidx:
-            s = st.trace
             rec.probe_times.append(st.t)
             rec.probe_values.append(
-                np.array([[s[(c,) + idx] for c in range(2)] for idx in pidx]))
+                st.U[(slice(None), slice(None)) + pidx].sum(axis=0).T)
 
     record(state, 0)
     for istep in range(1, nsteps + 1):
-        state = step(state, profiles, source, dt, grid)
+        state = step(state, profiles, source, dt, grid, work=work)
         record(state, istep)
     return rec
 
@@ -338,14 +450,9 @@ def run(config: SimConfig, profiles, source: SourceSpec | None) -> Recording:
 def _boundary_norm_sq(grid: Grid, s: np.ndarray) -> float:
     """Trapezoidal L2 norm squared of a field over the six faces."""
     total = 0.0
-    h = grid.spacing
     for _, axis, _, _, index in faces():
         face = s[(slice(None),) + index]
-        i1, i2 = [i for i in range(3) if i != axis]
-        w1 = np.ones(grid.shape[i1]); w1[0] = w1[-1] = 0.5
-        w2 = np.ones(grid.shape[i2]); w2[0] = w2[-1] = 0.5
-        w = w1[:, None] * w2[None, :] * h[i1] * h[i2]
-        total += float(np.sum(w * np.abs(face) ** 2))
+        total += float(np.sum(grid._face_weights[axis] * np.abs(face) ** 2))
     return total
 
 

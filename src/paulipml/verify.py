@@ -195,6 +195,12 @@ class CheckReport:
         return rep
 
 
+def _worse(worst: float, value, pick=np.maximum) -> float:
+    """Running worst case that keeps a NaN once one is seen; Python's
+    ``max``/``min`` would drop it (``max(0.0, nan)`` is 0.0)."""
+    return float(pick(worst, value))
+
+
 def fit_order(values, factor: float = 2.0) -> float:
     """Observed convergence order from residuals at steps decreasing by
     ``factor``; the mean of the pairwise rates."""
@@ -305,7 +311,7 @@ def check_helmholtz_identity(ctx: StretchContext, n_samples: int = 10,
             lhs = complex(ctx.Pi(x)) * apply_L(-1, inner, x, h)
             rhs = divergence_side(x, fudge)
             scale = max(np.max(np.abs(rhs)), 1.0)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs)) / scale))
+            worst = _worse(worst, np.max(np.abs(lhs - rhs)) / scale)
         return worst
 
     vals = [discrepancy(h) for h in steps]
@@ -411,7 +417,7 @@ def check_neumann_identity(surface: str = "sphere", n_points: int = 15,
             normal_d = sum(nu0[j] * grads[j] for j in range(3))
             rhs = pip @ (normal_d + curv_factor * H * u_field(x0))
             scale = max(np.linalg.norm(u_field(x0)), 1.0)
-            worst = max(worst, float(np.linalg.norm(lhs - rhs) / scale))
+            worst = _worse(worst, np.linalg.norm(lhs - rhs) / scale)
         return worst
 
     vals = [discrepancy(h) for h in steps]
@@ -487,17 +493,17 @@ def check_transverse_identity(profiles, delta: float, tau_set,
                 Vu = sum(vcoef[j] * grads[j] for j in range(3))
                 rhs = pip @ (Vu + curv_factor * H * u(bp.x))
                 scale = max(np.linalg.norm(u(bp.x)), 1.0)
-                worst = max(worst,
-                            float(np.linalg.norm(lhs - rhs) / scale))
+                worst = _worse(worst, np.linalg.norm(lhs - rhs) / scale)
             return worst
 
         vals = [discrepancy(h) for h in steps]
         order = fit_order(vals, factor=steps[0] / steps[1])
         ctrl = discrepancy(steps[-1], curv_factor=0.0)
         rows.append([tau, vals[-1], order, ctrl])
-        worst_order = min(worst_order, order)
-        worst_disc = max(worst_disc, vals[-1])
-        worst_ctrl = min(worst_ctrl, ctrl / max(vals[-1], 1e-300))
+        worst_order = _worse(worst_order, order, np.minimum)
+        worst_disc = _worse(worst_disc, vals[-1])
+        worst_ctrl = _worse(worst_ctrl, ctrl / max(vals[-1], 1e-300),
+                            np.minimum)
     return CheckReport(
         "transverse_identity",
         params={"delta": delta, "tau_set": [complex(t) for t in tau_set],
@@ -572,9 +578,9 @@ def check_coercivity(profiles, grid: Grid, tau_list, n_fields: int = 100,
                       + (tau.real / abs(tau)) * (abs(tau) * b0 + k0))
             if bundle <= 0:
                 continue
-            rmin = min(rmin, aval / bundle)
+            rmin = _worse(rmin, aval / bundle, np.minimum)
         rows.append([tau, rmin, len(fields)])
-        global_min = min(global_min, rmin)
+        global_min = _worse(global_min, rmin, np.minimum)
     return CheckReport(
         "coercivity",
         params={"grid": list(grid.shape),
@@ -613,10 +619,10 @@ def check_m_bounds(box: BoxDomain, profiles, delta_set, tau_set,
             for bp, _wt in samples:
                 mval = ctx.m_matrix(bp)
                 nrm = float(np.linalg.norm(mval, 2))
-                sup_m = max(sup_m, nrm)
+                sup_m = _worse(sup_m, nrm)
                 if bp.patch[0] == "face" and \
                         singular_distance(box, bp.x) > delta:
-                    far = max(far, nrm)
+                    far = _worse(far, nrm)
                 if bp.patch[0] != "face" and _seam_clear(bp, q, 0.15):
                     acc = 0.0
                     for i in range(2):
@@ -626,11 +632,11 @@ def check_m_bounds(box: BoxDomain, profiles, delta_set, tau_set,
                         mm = ctx.m_matrix(rounded_box_point(q, bp.chart(-e)))
                         acc += np.linalg.norm((mp - mm) / (2 * h), 2) ** 2
                     _, beta = ctx.Phi_beta(bp)
-                    c3 = max(c3, float(np.sqrt(acc) / abs(beta)))
+                    c3 = _worse(c3, np.sqrt(acc) / abs(beta))
             rows.append([delta, complex(tau), sup_m, far, c3])
-            face_far_max = max(face_far_max, far)
-            sup_by_tau[complex(tau)] = max(sup_by_tau[complex(tau)], sup_m)
-            grad_const = max(grad_const, c3)
+            face_far_max = _worse(face_far_max, far)
+            sup_by_tau[complex(tau)] = _worse(sup_by_tau[complex(tau)], sup_m)
+            grad_const = _worse(grad_const, c3)
     sups = np.array(list(sup_by_tau.values()))
     variation = float((sups.max() - sups.min()) / max(sups.max(), 1e-300))
     return CheckReport(
@@ -674,8 +680,8 @@ def _reflection_metric(rec, rec_ref, a: float) -> float:
         ur = rec_ref.traces[i][:, m_ref]
         diff = np.sqrt(np.sum(np.abs(u - ur) ** 2) * vol)
         nref = np.sqrt(np.sum(np.abs(ur) ** 2) * vol)
-        worst = max(worst, diff)
-        peak = max(peak, nref)
+        worst = _worse(worst, diff)
+        peak = _worse(peak, nref)
     return worst / max(peak, 1e-300)
 
 
@@ -726,8 +732,10 @@ def reflection_experiment(h: float = 1.0 / 16.0, a: float = 0.5,
                 "T": T, "cfl": cfl, "ref_half": ref_half},
         measured={"self_metric": self_metric,
                   "pml": pml_vals, "bare": bare_vals,
-                  "max_pml_minus_bare": max(np.subtract(pml_vals, bare_vals)),
-                  "max_pml_increase": max(np.diff(pml_vals), default=-np.inf)},
+                  "max_pml_minus_bare":
+                      float(np.max(np.subtract(pml_vals, bare_vals))),
+                  "max_pml_increase":
+                      float(np.max(np.diff(pml_vals), initial=-np.inf))},
         criteria=_criteria(
             "self_zero: measured.self_metric <= 0 fixed",
             "ordered: measured.max_pml_minus_bare < 0 fixed",
@@ -792,8 +800,8 @@ def laplace_consistency(grid: Grid, profiles, tau_set, T: float = 10.0,
         split_res = (np.max(np.abs((vsum - v)[inner]))
                      / max(np.max(np.abs(v[inner])), 1e-300))
         rows.append([tau, rel, split_res])
-        worst_rel = max(worst_rel, rel)
-        worst_split = max(worst_split, split_res)
+        worst_rel = _worse(worst_rel, rel)
+        worst_split = _worse(worst_split, split_res)
     return CheckReport(
         "laplace_consistency",
         params={"grid": list(grid.shape),
@@ -851,7 +859,7 @@ def stretched_estimate(profiles, grid_sizes=(17, 25), M: float = 2.0,
                 * np.sqrt(timedomain._boundary_norm_sq(grid, u)) / nF
             q3 = (tau.real / abs(tau)) * _grad_norm(grid, u) / nF
             rows.append([int(n), tau, q1, q2, q3])
-            c_mesh = max(c_mesh, q1, q2, q3)
+            c_mesh = _worse(c_mesh, np.max([q1, q2, q3]))
         fitted.append(c_mesh)
     stability = abs(fitted[0] - fitted[-1]) / max(fitted[-1], 1e-300)
     return CheckReport(
@@ -912,10 +920,10 @@ def check_stability(profiles, grid_sizes=(17, 25),
             ratios[(int(n), lam)] = float(ratio)
             rows.append([int(n), lam, float(ratio)])
 
-    fitted_c = max(ratios.values())
-    refine_growth = max(
-        ratios[(grid_sizes[-1], lam)] / ratios[(grid_sizes[0], lam)]
-        for lam in lams)
+    fitted_c = float(np.max(list(ratios.values())))
+    refine_growth = float(np.max(
+        [ratios[(grid_sizes[-1], lam)] / ratios[(grid_sizes[0], lam)]
+         for lam in lams]))
 
     # long-run boundedness on the coarse mesh
     grid = Grid(box, (int(grid_sizes[0]),) * 3)

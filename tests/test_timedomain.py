@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from paulipml import timedomain as td
-from paulipml.algebra import projector
+from paulipml.algebra import pauli_matrices, projector
+from paulipml.geometry import BoxDomain
 from paulipml.errors import StabilityError, TruncationWarning
 from paulipml.geometry import face_axis_sign, face_normal
 from paulipml.stretching import AbsorptionProfile
@@ -58,6 +59,176 @@ def test_diff4_exact_on_quartics(grid):
     d = td.diff4(f, axis=2, h=grid.spacing[1])
     want = (4 * x ** 3 - 4 * x + 3)[None, None, :, None] * np.ones_like(f)
     assert np.allclose(d, want, atol=1e-10)
+
+
+# -- the reference kernel: 4th-order differences with tensordot end
+# closures, A_j applied by einsum, sigma_j re-evaluated and RK4 stages
+# allocated on every call.  The fused kernel must reproduce it.
+
+_EDGE = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
+                  [-3.0, -10.0, 18.0, -6.0, 1.0]]) / 12.0
+
+
+def _ref_diff4(f, axis, h):
+    f = np.moveaxis(f, axis, 0)
+    out = np.empty_like(f)
+    out[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / 12.0
+    for r in range(2):
+        out[r] = np.tensordot(_EDGE[r], f[:5], axes=(0, 0))
+        out[-1 - r] = -np.tensordot(_EDGE[r], f[-1:-6:-1], axes=(0, 0))
+    out /= h
+    return np.moveaxis(out, 0, axis)
+
+
+def _ref_rhs(U, profiles, source, t, grid):
+    h = grid.spacing
+    A = pauli_matrices()
+    s = np.sum(U, axis=0)
+    out = np.empty_like(U)
+    f = source(t) if source is not None else None
+    for j in range(3):
+        shape = [1, 1, 1, 1]
+        shape[j + 1] = grid.shape[j]
+        sig = profiles[j](grid.axes[j]).reshape(shape)
+        out[j] = (-sig * U[j] - np.einsum("ab,b...->a...", A[j],
+                                          _ref_diff4(s, j + 1, h[j])))
+        if f is not None:
+            out[j] += source.weights[j] * f
+    return out
+
+
+def _ref_step(U, t, profiles, source, dt, grid):
+    def stage(y, tl):
+        return _ref_rhs(y, profiles, source, tl, grid)
+
+    k1 = stage(U, t)
+    k2 = stage(U + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = stage(U + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = stage(U + dt * k3, t + dt)
+    new = U + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return td.apply_boundary(td.SplitState(new, t + dt), grid).U
+
+
+@pytest.fixture
+def skew_setup(rng):
+    """A 9x10x11 grid on an unequal box with absorbing layers on every
+    axis, a source live on [0, 0.5], and a random split state."""
+    box = BoxDomain((1.0, 1.1, 1.2), inner_fraction=0.5)
+    grid = td.Grid(box, (9, 10, 11))
+    profiles = tuple(AbsorptionProfile(a=0.5 * b, b=b, sigma0=4.0)
+                     for b in box.h)
+    source = td.gaussian_source(grid, width=0.3, polarization=(1.0, 0.5j),
+                                t_off=0.5, weights=(0.5, 0.3, 0.2))
+    U = (rng.standard_normal((3, 2, 9, 10, 11))
+         + 1j * rng.standard_normal((3, 2, 9, 10, 11)))
+    return grid, profiles, source, U
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def test_diff4_matches_reference_on_every_axis(rng):
+    f = rng.standard_normal((2, 9, 10, 11)) \
+        + 1j * rng.standard_normal((2, 9, 10, 11))
+    for axis in (1, 2, 3, -1):
+        want = _ref_diff4(f, axis, 0.1)
+        assert _rel(td.diff4(f, axis, 0.1), want) < 1e-13
+        out = np.empty_like(f)
+        got = td.diff4(f, axis, 0.1, out=out, scaled=False)
+        assert got is out
+        assert _rel(got, 12 * 0.1 * want) < 1e-13
+
+
+def test_pauli_action_table_matches_the_matrices(rng):
+    """The kernel applies A_j as one factor times one source component
+    per output component; that table must be the Pauli triple."""
+    A = pauli_matrices()
+    v = rng.standard_normal((2, 7)) + 1j * rng.standard_normal((2, 7))
+    for j in range(3):
+        got = np.array([c * v[b] for b, c in td._PAULI_ACTION[j]])
+        assert np.array_equal(got, A[j] @ v)
+
+
+@pytest.mark.parametrize("t", [0.3, 1.5])  # source live, then off
+def test_fused_rhs_matches_reference(skew_setup, t):
+    grid, profiles, source, U = skew_setup
+    want = _ref_rhs(U, profiles, source, t, grid)
+    got = td.rhs(td.SplitState(U.copy(), t), profiles, source, t, grid)
+    assert _rel(got, want) < 1e-13
+    # the same through a reused workspace, twice
+    work = td.Workspace(grid, profiles)
+    for _ in range(2):
+        got = td.rhs(td.SplitState(U, t), profiles, source, t, grid,
+                     work=work)
+        assert _rel(got, want) < 1e-13
+
+
+def test_fused_steps_match_reference(skew_setup):
+    """Eight steps through one workspace, as run takes them, across the
+    source switch-off at t = 0.5."""
+    grid, profiles, source, U = skew_setup
+    dt = 0.1
+    work = td.Workspace(grid, profiles)
+    state = td.SplitState(U.copy(), 0.0)
+    ref, t = U.copy(), 0.0
+    for _ in range(8):
+        state = td.step(state, profiles, source, dt, grid, work=work)
+        ref = _ref_step(ref, t, profiles, source, dt, grid)
+        t += dt
+        assert state.t == pytest.approx(t)
+        assert _rel(state.U, ref) < 1e-13
+
+
+def test_run_keeps_the_traced_call_chain(monkeypatch, unit_box,
+                                         bump_profiles):
+    """run calls step once per step and step calls rhs four times,
+    rhs calls diff4 once per axis, all through the module attributes."""
+    calls = {"step": 0, "rhs": 0, "diff4": 0}
+    for name in calls:
+        orig = getattr(td, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(td, name, counted)
+    grid = td.Grid(unit_box, (9, 9, 9))
+    rec = td.run(td.SimConfig(grid, cfl=0.5, T=0.5), bump_profiles,
+                 td.gaussian_source(grid, t_off=0.25))
+    nsteps = len(rec.times) - 1
+    assert nsteps == 4
+    assert calls == {"step": nsteps, "rhs": 4 * nsteps,
+                     "diff4": 12 * nsteps}
+
+
+def test_bare_step_returns_a_fresh_array(grid, bump_profiles, rng):
+    U = rng.standard_normal((3, 2, 13, 13, 13)) + 0j
+    state = td.SplitState(U.copy(), 0.2)
+    src = td.gaussian_source(grid, t_off=1.0)
+    out = td.step(state, bump_profiles, src, 0.05, grid)
+    assert np.array_equal(state.U, U) and state.t == 0.2
+    assert not np.shares_memory(out.U, state.U)
+    again = td.step(state, bump_profiles, src, 0.05, grid)
+    assert np.array_equal(again.U, out.U)
+    assert not np.shares_memory(again.U, out.U)
+
+
+def test_trapezoid_weights_are_the_tensor_product(rng):
+    """Grid.norm and the face norm keep their weights per grid; they
+    equal the weights built afresh."""
+    grid = td.Grid(BoxDomain((1.0, 1.1, 1.2)), (5, 6, 7))
+    w = [np.r_[0.5, np.ones(n - 2), 0.5] for n in grid.shape]
+    vol = np.einsum("i,j,k->ijk", *w)
+    g = rng.standard_normal((2, 5, 6, 7))
+    want = np.sqrt(np.sum(vol * g ** 2) * grid.cell_volume())
+    assert grid.norm(g) == pytest.approx(want, rel=1e-14)
+    h = grid.spacing
+    bd = 0.0
+    for axis, idx in ((0, 0), (0, -1), (1, 0), (1, -1), (2, 0), (2, -1)):
+        i1, i2 = [i for i in range(3) if i != axis]
+        face = np.take(g, idx, axis=axis + 1)
+        bd += np.sum(np.outer(w[i1], w[i2]) * h[i1] * h[i2] * face ** 2)
+    assert td._boundary_norm_sq(grid, g) == pytest.approx(bd, rel=1e-14)
 
 
 def test_apply_boundary_kills_incoming_trace(grid, rng):

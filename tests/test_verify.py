@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from paulipml import verify
+from paulipml.geometry import BoxDomain
 from paulipml.stretching import AbsorptionProfile, StretchContext
 
 
@@ -175,3 +176,34 @@ def test_checks_are_deterministic():
     assert a.to_text() == b.to_text()
     c = verify.check_helmholtz_identity(ctx, n_samples=3, seed=12)
     assert c.to_text() != a.to_text()
+
+
+# -- a NaN reaches the criteria ---------------------------------------------
+
+def test_nan_beta_fails_m_bounds(monkeypatch):
+    """A NaN beta makes the gradient constant NaN and fails the report;
+    a running Python max would drop it and report a finite constant."""
+    box = BoxDomain((1.0, 1.0, 1.0), inner_fraction=0.5)
+    args = (box, _profiles(), [0.3], [100.0 + 50.0j])
+    assert verify.check_m_bounds(*args, density=10.0).passed
+    orig = StretchContext.Phi_beta
+    monkeypatch.setattr(StretchContext, "Phi_beta",
+                        lambda self, bp: (orig(self, bp)[0], complex(np.nan)))
+    rep = verify.check_m_bounds(*args, density=10.0)
+    assert np.isnan(rep.constants["grad_over_beta"])
+    assert not rep.passed
+
+
+def test_nan_discrepancy_fails_identity_check(monkeypatch):
+    """NaN derivatives at the sample points with x1 > 0 make the
+    discrepancy NaN and fail the check, though the other points
+    converge."""
+    orig = verify._fd_partial
+
+    def poisoned(fun, x, j, h):
+        d = orig(fun, x, j, h)
+        return d * np.nan if x[0] > 0 else d
+    monkeypatch.setattr(verify, "_fd_partial", poisoned)
+    rep = verify.check_neumann_identity("sphere", n_points=6)
+    assert np.isnan(rep.measured["discrepancy"])
+    assert not rep.passed
