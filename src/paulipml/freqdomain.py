@@ -566,5 +566,11 @@ def export_matrix(path, op: SparseComplexOperator) -> None:
     nonzero."""
     r, c, v = op.triplets()
     with open(path, "w") as fh:
-        for ri, ci, vi in zip(r, c, v):
-            fh.write(f"{ri} {ci} {vi.real:.17g} {vi.imag:.17g}\n")
+        # formatted a block at a time, so the text never holds the
+        # whole matrix at once
+        for k in range(0, len(v), 4096):
+            b = slice(k, k + 4096)
+            fh.write("".join(
+                f"{ri} {ci} {re:.17g} {im:.17g}\n" for ri, ci, re, im
+                in zip(r[b].tolist(), c[b].tolist(), v[b].real.tolist(),
+                       v[b].imag.tolist())))

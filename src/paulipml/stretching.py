@@ -29,6 +29,8 @@ from . import algebra
 
 __all__ = [
     "AbsorptionProfile",
+    "BoundaryStack",
+    "ChartStack",
     "StretchContext",
     "principal_sqrt",
     "continuation_threshold",
@@ -128,6 +130,65 @@ def _as_points(x) -> np.ndarray:
     return x
 
 
+# Chart offsets of the stretched jet: the origin, then for each chart
+# parameter i the pairs +-h e_i and +-(h/2) e_i, whose central
+# differences span 2h and h.
+_JET_H = 1e-4
+_JET_SPANS = 2.0 * np.array([_JET_H, _JET_H / 2] * 2)
+_JET_OFFSETS = np.array([np.zeros(2)] + [
+    sign * step * e for e in np.eye(2)
+    for step in (_JET_H, _JET_H / 2) for sign in (1.0, -1.0)])
+
+
+def _stack(points, get, tail, dtype=float) -> np.ndarray:
+    """get(bp) for each point, stacked to shape (n,) + tail; shape tail
+    for a single BoundaryPoint.  Makes one pass over ``points``, which
+    may be a generator."""
+    if isinstance(points, BoundaryPoint):
+        return np.array(get(points), dtype=dtype).reshape(tail)
+    rows = [get(bp) for bp in points]
+    return np.array(rows, dtype=dtype).reshape((len(rows),) + tail)
+
+
+class BoundaryStack:
+    """Boundary points stacked along one leading axis.
+
+    ``x`` and ``nu`` have shape (n, 3) and ``face`` (True on the flat
+    faces) shape (n,); a single BoundaryPoint gives the
+    zero-dimensional stack, shapes (3,) and ().  Only these numbers are
+    kept, so a generator of points is never held in memory at once.
+    """
+
+    def __init__(self, points):
+        a = _stack(points, lambda bp: [*bp.x, *bp.nu, bp.patch[0] == "face"],
+                   (7,))
+        self.x, self.nu, self.face = a[..., :3], a[..., 3:6], a[..., 6] == 1
+
+
+class ChartStack(BoundaryStack):
+    """A BoundaryStack that also holds what the stretched jet needs:
+    ``chart_x`` and ``chart_jac``, the chart points and Jacobians at the
+    jet offsets, shapes (..., 9, 3) and (..., 9, 3, 2).  None of it
+    depends on tau, so one stack serves every StretchContext.
+    """
+
+    def __init__(self, points):
+        super().__init__(points)
+        if np.any(_stack(points, lambda bp: bp.chart is None, (), bool)):
+            raise ValueError("boundary point carries no chart")
+        self.chart_x = _stack(
+            points, lambda bp: [bp.chart(a) for a in _JET_OFFSETS], (9, 3))
+        self.chart_jac = _stack(
+            points, lambda bp: [bp.chart_jacobian(a) for a in _JET_OFFSETS],
+            (9, 3, 2))
+
+    @staticmethod
+    def of(points) -> "ChartStack":
+        """``points`` itself if it is a ChartStack, else its stack."""
+        return points if isinstance(points, ChartStack) \
+            else ChartStack(points)
+
+
 @dataclass(frozen=True)
 class StretchContext:
     """Immutable bundle (tau, three absorption profiles).
@@ -204,52 +265,39 @@ class StretchContext:
         norm = self._normalizer(bp.x, bp.nu)
         return np.asarray(bp.nu) * r ** 2 / norm
 
-    def stretched_jet(self, bp: BoundaryPoint):
-        """First-order data of the stretched image surface at bp.
+    def stretched_jet(self, points):
+        """First-order data of the stretched image surface at boundary
+        points: a BoundaryPoint, or a ChartStack of n points.
 
-        Returns (nu, H, tangents, dnu): the unit conormal, the mean
-        curvature, the two tangent vectors dy/dalpha_i of the image
-        surface (columns of a 3x2 array), and the derivatives of the
-        conormal along them (same layout).  The linear extension
+        Returns (nu, H, tangents, dnu): the unit conormal (..., 3), the
+        mean curvature (...), the two tangent vectors dy/dalpha_i of
+        the image surface (columns of a (..., 3, 2) array), and the
+        derivatives of the conormal along them (same layout).  On flat
+        faces H and dnu are exactly zero.  The linear extension
         m(y) = nu + B (y - y0) with B tangents_i = dnu_i, B nu = 0 has
         the exact jet of the normal field that is constant along normal
         lines; the identity checks rely on this.
         """
-        if bp.chart is None:
-            raise ValueError("boundary point carries no chart")
-
-        def frame_at(alpha):
-            a = np.asarray(alpha, dtype=float)
-            x = bp.chart(a)
-            jac = bp.chart_jacobian(a)
-            tangents = jac / self.ratios(x)[:, None]
-            n = np.cross(tangents[:, 0], tangents[:, 1])
-            nhat = n / principal_sqrt(algebra.quadratic(n))
-            return nhat, tangents
-
-        nu0, t0 = frame_at(np.zeros(2))
-        if bp.patch[0] == "face":
-            return nu0, 0.0 + 0.0j, t0, np.zeros((3, 2), dtype=complex)
-        h = 1e-4
-
-        def dnu(i, step):
-            e = np.zeros(2)
-            e[i] = step
-            return (frame_at(e)[0] - frame_at(-e)[0]) / (2 * step)
-
-        cols = []
-        for i in range(2):
-            d1 = dnu(i, h)
-            d2 = dnu(i, h / 2)
-            cols.append((4.0 * d2 - d1) / 3.0)
-        dn = np.stack(cols, axis=1)
+        p = ChartStack.of(points)
+        tangents = p.chart_jac / self.ratios(p.chart_x)[..., None]
+        n = np.cross(tangents[..., 0], tangents[..., 1])
+        nhat = n / principal_sqrt(algebra.quadratic(n))[..., None]
+        # central differences at the +-h and +-h/2 offset pairs, then
+        # Richardson: column i is (4 d_{h/2} - d_h) / 3
+        d = (nhat[..., 1::2, :] - nhat[..., 2::2, :]) / _JET_SPANS[:, None]
+        dn = np.swapaxes((4.0 * d[..., 1::2, :] - d[..., 0::2, :]) / 3.0,
+                         -1, -2)
+        t0 = tangents[..., 0, :, :]
         # shape operator: dnu_i = sum_j S[j, i] tangent_j
-        S, *_ = np.linalg.lstsq(t0, dn, rcond=None)
-        return nu0, complex(0.5 * np.trace(S)), t0, dn
+        S = np.linalg.pinv(t0) @ dn
+        H = 0.5 * (S[..., 0, 0] + S[..., 1, 1])
+        H = np.where(p.face, 0.0, H)[()]
+        dn = np.where(p.face[..., None, None], 0.0, dn)
+        return nhat[..., 0, :], H, t0, dn
 
-    def stretched_frame(self, bp: BoundaryPoint) -> tuple[np.ndarray, complex]:
+    def stretched_frame(self, points) -> tuple[np.ndarray, complex]:
         """Unit conormal and mean curvature of the stretched image of
-        the rounded boundary at bp.
+        the rounded boundary at a BoundaryPoint or ChartStack.
 
         The image surface is alpha -> X(tau, chart(alpha)).  Tangents
         come from the closed-form Jacobian dX/dx = diag(1/r_j); the
@@ -260,17 +308,20 @@ class StretchContext:
         curvature is half its trace.  Everything is rational/algebraic
         in 1/tau, hence holomorphic above the continuation threshold.
         """
-        nu0, H, _, _ = self.stretched_jet(bp)
+        nu0, H, _, _ = self.stretched_jet(points)
         return nu0, H
 
-    def Phi_beta(self, bp: BoundaryPoint) -> tuple[complex, complex]:
+    def Phi_beta(self, points):
         """Boundary weights Phi = Pi (sum nu_j^2 r_j^2)^{1/2} and
-        beta = tau + 2 H, H the stretched mean curvature at bp."""
-        phi = complex(self.Pi(bp.x)) * self._normalizer(bp.x, bp.nu)
-        _, H = self.stretched_frame(bp)
+        beta = tau + 2 H, H the stretched mean curvature, at a
+        BoundaryPoint (two complex numbers) or a ChartStack (two arrays
+        of shape (n,))."""
+        p = ChartStack.of(points)
+        phi = self.Pi(p.x) * self._normalizer(p.x, p.nu)
+        _, H = self.stretched_frame(p)
         return phi, self.tau + 2.0 * H
 
-    def m_matrix(self, bp: BoundaryPoint) -> np.ndarray:
+    def m_matrix(self, points) -> np.ndarray:
         """Boundary defect matrix
 
             m = tau * pi^-(nu~)^T (conj(pi^+(nu~)) - pi^+(nu~)^T),
@@ -278,12 +329,14 @@ class StretchContext:
         where ^T is the plain transpose (adjoint for the bilinear dot
         product) and nu~ is the stretched conormal.  Vanishes on all six
         flat faces and is supported near the stretched edges and
-        corners.
+        corners.  ``points`` is a BoundaryPoint, giving one 2x2 matrix,
+        or a BoundaryStack, giving shape (n, 2, 2).
         """
-        nt = self.nu_tilde(bp.x, bp.nu)
+        nt = self.nu_tilde(points.x, points.nu)
         pi_m = algebra.projector(-1, nt)
         pi_p = algebra.projector(+1, nt)
-        return self.tau * pi_m.T @ (np.conj(pi_p) - pi_p.T)
+        return self.tau * np.swapaxes(pi_m, -1, -2) \
+            @ (np.conj(pi_p) - np.swapaxes(pi_p, -1, -2))
 
 
 def continuation_threshold(profiles, bp: BoundaryPoint,

@@ -316,6 +316,12 @@ def rhs(state: SplitState, profiles, source: SourceSpec | None,
     return out
 
 
+# (axis, trace index, pi^-(nu)) for each face; the projectors are constant
+_FACE_PROJECTORS = tuple((axis, (slice(None),) + index,
+                          algebra.projector(-1, nu))
+                         for _, axis, _, nu, index in faces())
+
+
 def apply_boundary(state: SplitState, grid: Grid) -> SplitState:
     """Project the trace onto the outgoing eigenspace on every face.
 
@@ -325,9 +331,7 @@ def apply_boundary(state: SplitState, grid: Grid) -> SplitState:
     lexicographic order; edge and corner nodes receive the corrections
     of all their faces sequentially.
     """
-    for _, axis, _, nu, index in faces():
-        pim = algebra.projector(-1, nu)
-        sl = (slice(None),) + index
+    for axis, sl, pim in _FACE_PROJECTORS:
         s = np.sum(state.U[(slice(None),) + sl], axis=0)
         state.U[(axis,) + sl] -= np.einsum("ab,b...->a...", pim, s)
     return state

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from paulipml import verify
-from paulipml.geometry import BoxDomain
+from paulipml.geometry import (BoxDomain, RoundedBox, rounded_box_point,
+                               sample_boundary, singular_distance)
 from paulipml.stretching import AbsorptionProfile, StretchContext
 
 
@@ -176,6 +177,98 @@ def test_checks_are_deterministic():
     assert a.to_text() == b.to_text()
     c = verify.check_helmholtz_identity(ctx, n_samples=3, seed=12)
     assert c.to_text() != a.to_text()
+
+
+# -- m bounds: stacked evaluation against the per-point loop ----------------
+
+M_BOUNDS_TAUS = tuple(t * (1.0 + 0.5j) for t in (1e2, 1e3, 1e4))
+
+
+def _m_bounds_reference(box, profiles, delta_set, tau_set, density):
+    """The per-point loop of check_m_bounds: one m_matrix call per
+    sample and per +-h chart neighbour, one Phi_beta call per curved
+    sample.  Returns face_far_max, sup ||m|| per tau, the gradient
+    constant and the per-case rows."""
+    rows = []
+    face_far_max = 0.0
+    sup_by_tau = {complex(t): 0.0 for t in tau_set}
+    grad_const = 0.0
+    h = 1e-4
+    for delta in delta_set:
+        q = RoundedBox(box, delta)
+        samples = sample_boundary(q, density=density)
+        for tau in tau_set:
+            ctx = StretchContext(complex(tau), tuple(profiles))
+            sup_m = far = c3 = 0.0
+            for bp, _wt in samples:
+                nrm = float(np.linalg.norm(ctx.m_matrix(bp), 2))
+                sup_m = max(sup_m, nrm)
+                if bp.patch[0] == "face" and \
+                        singular_distance(box, bp.x) > delta:
+                    far = max(far, nrm)
+                if bp.patch[0] != "face" and verify._seam_clear(bp, q, 0.15):
+                    acc = 0.0
+                    for i in range(2):
+                        e = np.zeros(2)
+                        e[i] = h
+                        mp = ctx.m_matrix(rounded_box_point(q, bp.chart(e)))
+                        mm = ctx.m_matrix(rounded_box_point(q, bp.chart(-e)))
+                        acc += np.linalg.norm((mp - mm) / (2 * h), 2) ** 2
+                    _, beta = ctx.Phi_beta(bp)
+                    c3 = max(c3, np.sqrt(acc) / abs(beta))
+            rows.append([delta, complex(tau), sup_m, far, c3])
+            face_far_max = max(face_far_max, far)
+            sup_by_tau[complex(tau)] = max(sup_by_tau[complex(tau)], sup_m)
+            grad_const = max(grad_const, c3)
+    return face_far_max, sup_by_tau, grad_const, rows
+
+
+def test_m_bounds_matches_pointwise_reference():
+    box = BoxDomain((1.0, 1.0, 1.0), inner_fraction=0.5)
+    deltas = [0.3, 0.15]
+    rep = verify.check_m_bounds(box, _profiles(), deltas, M_BOUNDS_TAUS,
+                                density=10.0)
+    far, sups, grad, rows = _m_bounds_reference(
+        box, _profiles(), deltas, M_BOUNDS_TAUS, 10.0)
+    sups = np.array(list(sups.values()))
+    assert rep.measured["face_far_max"] == far
+    assert rep.constants["sup_norm"] == sups.max()
+    assert rep.measured["sup_variation"] == \
+        (sups.max() - sups.min()) / sups.max()
+    assert rep.constants["grad_over_beta"] == pytest.approx(grad, rel=1e-12)
+    assert grad > 0.0
+    _, got = rep.tables["per_case"]
+    assert len(got) == len(rows) == 6
+    for g, r in zip(got, rows):
+        assert g[:4] == r[:4]
+        assert g[4] == pytest.approx(r[4], rel=1e-12)
+
+
+def test_m_bounds_builds_geometry_once_per_delta(monkeypatch):
+    """Sampling and the chart neighbours are built per delta, never
+    per tau."""
+    box = BoxDomain((1.0, 1.0, 1.0), inner_fraction=0.5)
+    calls = {}
+
+    def counted(name):
+        orig = getattr(verify, name)
+
+        def shim(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(verify, name, shim)
+
+    counted("sample_boundary")
+    counted("rounded_box_point")
+    counts = []
+    for taus in (M_BOUNDS_TAUS[:1], M_BOUNDS_TAUS):
+        calls.clear()
+        verify.check_m_bounds(box, _profiles(), [0.3, 0.15], taus,
+                              density=10.0)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["sample_boundary"] == 2
+    assert counts[0]["rounded_box_point"] > 0
 
 
 # -- a NaN reaches the criteria ---------------------------------------------
