@@ -370,7 +370,8 @@ def second_bc_residual(u: np.ndarray, ctx: StretchContext, grid: Grid,
         interior = resid[m1:-m1, m2:-m2]
         out[k] = resid
         if interior.size:
-            worst = max(worst, float(np.max(np.abs(interior))))
+            # np.maximum keeps a NaN that Python's max would drop
+            worst = float(np.maximum(worst, np.max(np.abs(interior))))
     return out, worst
 
 

@@ -10,16 +10,15 @@ boundary of Q_delta then decomposes into
 - 8 octant-sphere corner caps     (curvatures 1/r, 1/r),
 
 all with closed-form outward normals, so every sampled boundary point
-carries its curvature data exactly.  Each boundary point also exposes a
-local chart alpha -> x(alpha) with analytic Jacobian; the stretching
-module uses these to continue the normal and mean curvature of the
-image surface in tau.
+carries its curvature data exactly.  Boundary points are stacked along
+leading axes, and each exposes a local chart alpha -> x(alpha) with
+analytic Jacobian; the stretching module uses these to continue the
+normal and mean curvature of the image surface in tau.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +38,11 @@ __all__ = [
 ]
 
 _EYE = np.eye(3)
+
+
+def _norm(v):
+    """Euclidean norm over the last axis, summed in component order."""
+    return np.sqrt(v[..., 0] ** 2 + v[..., 1] ** 2 + v[..., 2] ** 2)
 
 
 def face_normal(k: int) -> np.ndarray:
@@ -126,176 +130,131 @@ class RoundedBox:
         """Half lengths of the shrunk box."""
         return self.parent.h - self.radius
 
-    def signed_distance(self, x) -> float:
-        """Signed distance to the boundary of Q_delta (negative inside)."""
-        x = np.asarray(x, dtype=float)
-        d = np.abs(x) - self.core_h
-        outside = np.linalg.norm(np.maximum(d, 0.0))
-        inside = min(np.max(d), 0.0)
+    def signed_distance(self, x):
+        """Signed distance of points x (..., 3) to the boundary of
+        Q_delta (negative inside)."""
+        d = np.abs(np.asarray(x, dtype=float)) - self.core_h
+        outside = _norm(np.maximum(d, 0.0))
+        inside = np.minimum(np.max(d, axis=-1), 0.0)
         return outside + inside - self.radius
 
     def contains(self, x, tol: float = 0.0) -> bool:
         return self.signed_distance(x) <= tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryPoint:
-    """A boundary point with exact normal, curvature, and a local chart.
+    """Boundary points of a RoundedBox with exact normals, curvatures
+    and local charts, stacked along leading axes.
 
-    ``patch`` is ("face", k), ("edge", (i, j)), or ("corner", ()) with
-    0-based axes for edges.  The chart maps surface parameters
-    alpha = (a1, a2) near 0 to points of the boundary, with x(0) equal
-    to ``x`` and tangents oriented so that t1 x t2 points outward.
+    ``x`` and ``nu`` have shape (..., 3) and ``kind`` shape (...): 0 on
+    a flat face, 1 on an edge strip, 2 on a corner cap.  One point is
+    the zero-dimensional case.  ``weight`` holds the quadrature weights
+    of a sample_boundary set.  Indexing the leading axis selects
+    points, and a stack iterates over its single points.
     """
 
     x: np.ndarray
-    patch: tuple
     nu: np.ndarray
-    kappa: tuple[float, float]
-    chart: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
-    chart_jacobian: Callable[[np.ndarray], np.ndarray] = field(
-        repr=False, default=None)
+    kind: np.ndarray
+    box: RoundedBox
+    weight: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, index) -> "BoundaryPoint":
+        weight = None if self.weight is None else self.weight[index]
+        return BoundaryPoint(self.x[index], self.nu[index], self.kind[index],
+                             self.box, weight)
 
     @property
-    def mean_curvature(self) -> float:
-        return 0.5 * (self.kappa[0] + self.kappa[1])
+    def kappa(self) -> np.ndarray:
+        """Principal curvatures (..., 2): (0, 0), (1/r, 0), (1/r, 1/r)."""
+        return np.stack([self.kind > 0, self.kind > 1],
+                        axis=-1) / self.box.radius
 
-    H = mean_curvature
+    @property
+    def H(self):
+        """Mean curvature, half the sum of the principal curvatures."""
+        k = self.kappa
+        return 0.5 * (k[..., 0] + k[..., 1])
 
+    def _local(self, alpha):
+        """Point data reshaped to broadcast against the offsets alpha
+        (..., 2), the centre c of the osculating sphere or cylinder, the
+        tangent frame, and the two chart parameters."""
+        alpha = np.asarray(alpha, dtype=float)
+        shape = self.kind.shape + (1,) * (alpha.ndim - 1)
+        x, nu = (a.reshape(shape + (3,)) for a in (self.x, self.nu))
+        q = self.box
+        c = np.clip(x, -q.core_h, q.core_h)
+        # one frame for every kind: t1 x t2 = nu by construction
+        aux = _EYE[np.argmin(np.abs(nu), axis=-1)]
+        t1 = np.cross(nu, aux)
+        t1 = t1 / _norm(t1)[..., None]
+        t2 = np.cross(nu, t1)
+        return (x, nu, c, t1, t2, self.kind.reshape(shape + (1,)),
+                alpha[..., :1], alpha[..., 1:])
 
-def _orient(chart, jac, nu):
-    """Swap chart parameters if t1 x t2 points inward at alpha = 0."""
-    j0 = jac(np.zeros(2))
-    if np.dot(np.cross(j0[:, 0], j0[:, 1]), nu) >= 0:
-        return chart, jac
-    flipped = lambda a: chart(np.array([a[1], a[0]]))
-    flipped_jac = lambda a: jac(np.array([a[1], a[0]]))[:, ::-1]
-    return flipped, flipped_jac
+    def chart(self, alpha) -> np.ndarray:
+        """Boundary points at chart parameters alpha (..., 2), the same
+        offsets at every point: shape self.kind.shape + alpha.shape[:-1]
+        + (3,).  chart(0) is x and t1 x t2 points outward."""
+        x, nu, c, t1, t2, kind, a1, a2 = self._local(alpha)
+        r = self.box.radius
+        face = x + a1 * t1 + a2 * t2
+        edge = c + r * (np.cos(a1 / r) * nu + np.sin(a1 / r) * t1) + a2 * t2
+        v = nu + (a1 * t1 + a2 * t2) / r
+        corner = c + r * v / _norm(v)[..., None]
+        return np.where(kind == 0, face, np.where(kind == 1, edge, corner))
 
-
-def _face_point(q: RoundedBox, axis: int, sign: int, x: np.ndarray) -> BoundaryPoint:
-    nu = sign * _EYE[axis]
-    i1, i2 = [i for i in range(3) if i != axis]
-    x0 = x.copy()
-    x0[axis] = sign * q.parent.h[axis]
-
-    def chart(a, x0=x0, i1=i1, i2=i2):
-        p = x0.copy()
-        p[i1] += a[0]
-        p[i2] += a[1]
-        return p
-
-    def jac(a, i1=i1, i2=i2):
-        m = np.zeros((3, 2))
-        m[i1, 0] = 1.0
-        m[i2, 1] = 1.0
-        return m
-
-    chart, jac = _orient(chart, jac, nu)
-    return BoundaryPoint(x0, ("face", axis + 1 + (3 if sign > 0 else 0)),
-                         nu, (0.0, 0.0), chart, jac)
-
-
-def _edge_point(q: RoundedBox, i: int, j: int, si: int, sj: int,
-                phi: float, t: float) -> BoundaryPoint:
-    """Point on the quarter cylinder along axis k with angle phi in
-    [0, pi/2] (phi = 0 on the face-i side) and axial offset t."""
-    r = q.radius
-    k = 3 - i - j
-    c = np.zeros(3)
-    c[i] = si * q.core_h[i]
-    c[j] = sj * q.core_h[j]
-    c[k] = t
-
-    def normal(p):
-        n = np.zeros(3)
-        n[i] = si * np.cos(p)
-        n[j] = sj * np.sin(p)
-        return n
-
-    nu = normal(phi)
-    x0 = c + r * nu
-
-    def chart(a, c=c, r=r, phi=phi, k=k):
-        n = normal(phi + a[0] / r)
-        p = c + r * n
-        p[k] += a[1]
-        return p
-
-    def jac(a, r=r, phi=phi, i=i, j=j, k=k, si=si, sj=sj):
-        p = phi + a[0] / r
-        m = np.zeros((3, 2))
-        m[i, 0] = -si * np.sin(p)
-        m[j, 0] = sj * np.cos(p)
-        m[k, 1] = 1.0
-        return m
-
-    chart, jac = _orient(chart, jac, nu)
-    return BoundaryPoint(x0, ("edge", (i, j)), nu, (1.0 / r, 0.0), chart, jac)
-
-
-def _corner_point(q: RoundedBox, signs: np.ndarray, n0: np.ndarray) -> BoundaryPoint:
-    r = q.radius
-    c = signs * q.core_h
-    x0 = c + r * n0
-    # orthonormal tangent frame at n0
-    aux = _EYE[int(np.argmin(np.abs(n0)))]
-    t1 = np.cross(n0, aux)
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(n0, t1)
-
-    def chart(a, c=c, r=r, n0=n0, t1=t1, t2=t2):
-        v = n0 + (a[0] * t1 + a[1] * t2) / r
-        return c + r * v / np.linalg.norm(v)
-
-    def jac(a, r=r, n0=n0, t1=t1, t2=t2):
-        v = n0 + (a[0] * t1 + a[1] * t2) / r
-        nv = np.linalg.norm(v)
-        cols = []
-        for t in (t1, t2):
-            dv = t / r
-            cols.append(r * (dv / nv - v * np.dot(v, dv) / nv ** 3))
-        return np.stack(cols, axis=1)
-
-    chart, jac = _orient(chart, jac, n0)
-    return BoundaryPoint(x0, ("corner", ()), n0.copy(), (1.0 / r, 1.0 / r),
-                         chart, jac)
+    def chart_jacobian(self, alpha) -> np.ndarray:
+        """d chart / d alpha at the offsets alpha, columns in the last
+        axis: shape self.kind.shape + alpha.shape[:-1] + (3, 2)."""
+        x, nu, c, t1, t2, kind, a1, a2 = self._local(alpha)
+        r = self.box.radius
+        edge = -np.sin(a1 / r) * nu + np.cos(a1 / r) * t1
+        v = nu + (a1 * t1 + a2 * t2) / r
+        nv = _norm(v)[..., None]
+        corner = [r * (dv / nv - v * np.sum(v * dv, axis=-1, keepdims=True)
+                       / nv ** 3) for dv in (t1 / r, t2 / r)]
+        d1 = np.where(kind == 0, t1, np.where(kind == 1, edge, corner[0]))
+        d2 = np.where(kind == 2, corner[1], t2)
+        return np.stack(np.broadcast_arrays(d1, d2), axis=-1)
 
 
 def rounded_box_point(q: RoundedBox, x) -> BoundaryPoint:
-    """Project x onto the boundary of Q_delta and classify the patch.
+    """Project points x (..., 3) onto the boundary of Q_delta and
+    classify their patches.
 
-    x must lie within radius/2 of the boundary; otherwise GeometryError.
+    Every point must lie within radius/2 of the boundary; otherwise
+    GeometryError.
     """
     x = np.asarray(x, dtype=float)
     r = q.radius
-    if abs(q.signed_distance(x)) > r / 2.0:
+    dist = q.signed_distance(x)
+    if np.any(np.abs(dist) > r / 2.0):
+        worst = float(np.max(np.abs(dist)))
         raise GeometryError(
-            f"point {x} is {q.signed_distance(x):+.3g} from the boundary; "
+            f"a point is {worst:.3g} from the boundary; "
             "projection would be ambiguous")
-    d = x - np.clip(x, -q.core_h, q.core_h)
-    active = np.abs(x) > q.core_h
-    n_active = int(np.count_nonzero(active))
-    if n_active == 0:
-        # inside the shrunk box: nearest face of the shrunk box decides
-        gaps = q.core_h - np.abs(x)
-        axis = int(np.argmin(gaps))
-        sign = 1 if x[axis] >= 0 else -1
-        return _face_point(q, axis, sign, x)
-    if n_active == 1:
-        axis = int(np.nonzero(active)[0][0])
-        sign = 1 if x[axis] > 0 else -1
-        return _face_point(q, axis, sign, x)
-    if n_active == 2:
-        i, j = (int(a) for a in np.nonzero(active)[0])
-        si = 1 if x[i] > 0 else -1
-        sj = 1 if x[j] > 0 else -1
-        k = 3 - i - j
-        phi = float(np.arctan2(abs(d[j]), abs(d[i])))
-        return _edge_point(q, i, j, si, sj, phi, x[k])
-    signs = np.sign(x)
-    n0 = d / np.linalg.norm(d)
-    return _corner_point(q, signs, n0)
+    c = np.clip(x, -q.core_h, q.core_h)
+    d = x - c
+    kind = np.maximum(np.count_nonzero(np.abs(x) > q.core_h, axis=-1) - 1, 0)
+    # faces: the nearest face of the shrunk box decides
+    axis = np.argmin(q.core_h - np.abs(x), axis=-1)
+    sign = np.where(np.take_along_axis(x, axis[..., None], -1) >= 0,
+                    1.0, -1.0)
+    face_x = np.where(_EYE[axis] == 1.0, sign * q.parent.h, x)
+    nrm = _norm(d)[..., None]
+    nu = d / np.where(nrm > 0, nrm, 1.0)
+    face = (kind == 0)[..., None]
+    return BoundaryPoint(np.where(face, face_x, c + r * nu),
+                         np.where(face, sign * _EYE[axis], nu), kind, q)
 
 
 def rounded_box_area(q: RoundedBox) -> float:
@@ -313,12 +272,17 @@ def _gauss(n: int, a: float, b: float):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def sample_boundary(q: RoundedBox, density: float = 100.0):
+def _grid(u, v):
+    """Flattened product grid of two node (or weight) arrays, u outer."""
+    return (a.ravel() for a in np.meshgrid(u, v, indexing="ij"))
+
+
+def sample_boundary(q: RoundedBox, density: float = 100.0) -> BoundaryPoint:
     """Per-patch product quadrature of the boundary of Q_delta.
 
-    Returns a list of (BoundaryPoint, weight); weights sum to the
-    surface area (seams carry no nodes).  ``density`` is the target
-    number of points per unit area.
+    Returns the stacked points, faces first, then edge strips, then
+    corner caps; ``weight`` sums to the surface area (seams carry no
+    nodes).  ``density`` is the target number of points per unit area.
     """
     if density <= 0:
         raise ValueError("density must be positive")
@@ -329,20 +293,26 @@ def sample_boundary(q: RoundedBox, density: float = 100.0):
 
     r = q.radius
     h = q.core_h
-    out = []
+    xs, nus, kinds, ws = [], [], [], []
+
+    def add(x, nu, kind, w):
+        xs.append(x)
+        nus.append(np.broadcast_to(nu, x.shape))
+        kinds.append(np.full(len(x), kind))
+        ws.append(w)
 
     # faces
     for axis in range(3):
         i1, i2 = [i for i in range(3) if i != axis]
         u, wu = _gauss(npts(2 * h[i1]), -h[i1], h[i1])
         v, wv = _gauss(npts(2 * h[i2]), -h[i2], h[i2])
+        a, b = _grid(u, v)
+        wa, wb = _grid(wu, wv)
         for sign in (-1, 1):
-            for a, wa in zip(u, wu):
-                for b, wb in zip(v, wv):
-                    x = np.zeros(3)
-                    x[axis] = sign * q.parent.h[axis]
-                    x[i1], x[i2] = a, b
-                    out.append((_face_point(q, axis, sign, x), wa * wb))
+            x = np.zeros((len(a), 3))
+            x[:, axis] = sign * q.parent.h[axis]
+            x[:, i1], x[:, i2] = a, b
+            add(x, sign * _EYE[axis], 0, wa * wb)
 
     # edge strips
     for i in range(3):
@@ -350,48 +320,43 @@ def sample_boundary(q: RoundedBox, density: float = 100.0):
             k = 3 - i - j
             phis, wp = _gauss(npts(np.pi * r / 2), 0.0, np.pi / 2)
             ts, wt = _gauss(npts(2 * h[k]), -h[k], h[k])
+            phi, t = _grid(phis, ts)
+            wphi, wtt = _grid(wp, wt)
             for si in (-1, 1):
                 for sj in (-1, 1):
-                    for phi, wphi in zip(phis, wp):
-                        for t, wtt in zip(ts, wt):
-                            bp = _edge_point(q, i, j, si, sj, phi, t)
-                            out.append((bp, r * wphi * wtt))
+                    nu = np.zeros((len(phi), 3))
+                    nu[:, i] = si * np.cos(phi)
+                    nu[:, j] = sj * np.sin(phi)
+                    c = np.zeros_like(nu)
+                    c[:, i] = si * h[i]
+                    c[:, j] = sj * h[j]
+                    c[:, k] = t
+                    add(c + r * nu, nu, 1, r * wphi * wtt)
 
     # corner caps (octant of the sphere, local polar coordinates)
-    nang = max(2, int(np.ceil((np.pi * r / 2) * lin)))
+    nang = npts(np.pi * r / 2)
     th, wth = _gauss(nang, 0.0, np.pi / 2)
     ph, wph = _gauss(nang, 0.0, np.pi / 2)
+    t, p = _grid(th, ph)
+    wt, wp_ = _grid(wth, wph)
+    local = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p),
+                      np.cos(t)], axis=-1)
     for s1 in (-1, 1):
         for s2 in (-1, 1):
             for s3 in (-1, 1):
                 signs = np.array([s1, s2, s3], dtype=float)
-                for t, wt in zip(th, wth):
-                    for p, wp_ in zip(ph, wph):
-                        local = np.array([
-                            np.sin(t) * np.cos(p),
-                            np.sin(t) * np.sin(p),
-                            np.cos(t),
-                        ])
-                        n0 = signs * local
-                        bp = _corner_point(q, signs, n0)
-                        out.append((bp, r ** 2 * np.sin(t) * wt * wp_))
-    return out
+                n0 = signs * local
+                add(signs * h + r * n0, n0, 2, r ** 2 * np.sin(t) * wt * wp_)
+    return BoundaryPoint(np.concatenate(xs), np.concatenate(nus),
+                         np.concatenate(kinds), q, np.concatenate(ws))
 
 
-def singular_distance(b: BoxDomain, x) -> float:
-    """Distance from x to the union of the 12 edges (and corners) of the
-    box."""
-    x = np.asarray(x, dtype=float)
-    h = b.h
-    best = np.inf
-    for i in range(3):
-        for j in range(i + 1, 3):
-            k = 3 - i - j
-            for si in (-1, 1):
-                for sj in (-1, 1):
-                    # segment: x_i = si h_i, x_j = sj h_j, |x_k| <= h_k
-                    di = x[i] - si * h[i]
-                    dj = x[j] - sj * h[j]
-                    dk = x[k] - np.clip(x[k], -h[k], h[k])
-                    best = min(best, float(np.sqrt(di * di + dj * dj + dk * dk)))
-    return best
+def singular_distance(b: BoxDomain, x):
+    """Distance from points x (..., 3) to the union of the 12 edges (and
+    corners) of the box."""
+    gap = np.abs(np.asarray(x, dtype=float)) - b.h
+    out = np.maximum(gap, 0.0)
+    # the nearest of the four parallel edges along axis k
+    return np.min([np.sqrt(gap[..., i] ** 2 + gap[..., j] ** 2
+                           + out[..., k] ** 2)
+                   for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0))], axis=0)

@@ -29,8 +29,6 @@ from . import algebra
 
 __all__ = [
     "AbsorptionProfile",
-    "BoundaryStack",
-    "ChartStack",
     "StretchContext",
     "principal_sqrt",
     "continuation_threshold",
@@ -140,55 +138,6 @@ _JET_OFFSETS = np.array([np.zeros(2)] + [
     for step in (_JET_H, _JET_H / 2) for sign in (1.0, -1.0)])
 
 
-def _stack(points, get, tail, dtype=float) -> np.ndarray:
-    """get(bp) for each point, stacked to shape (n,) + tail; shape tail
-    for a single BoundaryPoint.  Makes one pass over ``points``, which
-    may be a generator."""
-    if isinstance(points, BoundaryPoint):
-        return np.array(get(points), dtype=dtype).reshape(tail)
-    rows = [get(bp) for bp in points]
-    return np.array(rows, dtype=dtype).reshape((len(rows),) + tail)
-
-
-class BoundaryStack:
-    """Boundary points stacked along one leading axis.
-
-    ``x`` and ``nu`` have shape (n, 3) and ``face`` (True on the flat
-    faces) shape (n,); a single BoundaryPoint gives the
-    zero-dimensional stack, shapes (3,) and ().  Only these numbers are
-    kept, so a generator of points is never held in memory at once.
-    """
-
-    def __init__(self, points):
-        a = _stack(points, lambda bp: [*bp.x, *bp.nu, bp.patch[0] == "face"],
-                   (7,))
-        self.x, self.nu, self.face = a[..., :3], a[..., 3:6], a[..., 6] == 1
-
-
-class ChartStack(BoundaryStack):
-    """A BoundaryStack that also holds what the stretched jet needs:
-    ``chart_x`` and ``chart_jac``, the chart points and Jacobians at the
-    jet offsets, shapes (..., 9, 3) and (..., 9, 3, 2).  None of it
-    depends on tau, so one stack serves every StretchContext.
-    """
-
-    def __init__(self, points):
-        super().__init__(points)
-        if np.any(_stack(points, lambda bp: bp.chart is None, (), bool)):
-            raise ValueError("boundary point carries no chart")
-        self.chart_x = _stack(
-            points, lambda bp: [bp.chart(a) for a in _JET_OFFSETS], (9, 3))
-        self.chart_jac = _stack(
-            points, lambda bp: [bp.chart_jacobian(a) for a in _JET_OFFSETS],
-            (9, 3, 2))
-
-    @staticmethod
-    def of(points) -> "ChartStack":
-        """``points`` itself if it is a ChartStack, else its stack."""
-        return points if isinstance(points, ChartStack) \
-            else ChartStack(points)
-
-
 @dataclass(frozen=True)
 class StretchContext:
     """Immutable bundle (tau, three absorption profiles).
@@ -265,9 +214,9 @@ class StretchContext:
         norm = self._normalizer(bp.x, bp.nu)
         return np.asarray(bp.nu) * r ** 2 / norm
 
-    def stretched_jet(self, points):
+    def stretched_jet(self, points: BoundaryPoint):
         """First-order data of the stretched image surface at boundary
-        points: a BoundaryPoint, or a ChartStack of n points.
+        points of any leading shape (...).
 
         Returns (nu, H, tangents, dnu): the unit conormal (..., 3), the
         mean curvature (...), the two tangent vectors dy/dalpha_i of
@@ -278,8 +227,8 @@ class StretchContext:
         the exact jet of the normal field that is constant along normal
         lines; the identity checks rely on this.
         """
-        p = ChartStack.of(points)
-        tangents = p.chart_jac / self.ratios(p.chart_x)[..., None]
+        tangents = points.chart_jacobian(_JET_OFFSETS) \
+            / self.ratios(points.chart(_JET_OFFSETS))[..., None]
         n = np.cross(tangents[..., 0], tangents[..., 1])
         nhat = n / principal_sqrt(algebra.quadratic(n))[..., None]
         # central differences at the +-h and +-h/2 offset pairs, then
@@ -291,13 +240,14 @@ class StretchContext:
         # shape operator: dnu_i = sum_j S[j, i] tangent_j
         S = np.linalg.pinv(t0) @ dn
         H = 0.5 * (S[..., 0, 0] + S[..., 1, 1])
-        H = np.where(p.face, 0.0, H)[()]
-        dn = np.where(p.face[..., None, None], 0.0, dn)
+        face = points.kind == 0
+        H = np.where(face, 0.0, H)[()]
+        dn = np.where(face[..., None, None], 0.0, dn)
         return nhat[..., 0, :], H, t0, dn
 
     def stretched_frame(self, points) -> tuple[np.ndarray, complex]:
         """Unit conormal and mean curvature of the stretched image of
-        the rounded boundary at a BoundaryPoint or ChartStack.
+        the rounded boundary at boundary points.
 
         The image surface is alpha -> X(tau, chart(alpha)).  Tangents
         come from the closed-form Jacobian dX/dx = diag(1/r_j); the
@@ -313,12 +263,10 @@ class StretchContext:
 
     def Phi_beta(self, points):
         """Boundary weights Phi = Pi (sum nu_j^2 r_j^2)^{1/2} and
-        beta = tau + 2 H, H the stretched mean curvature, at a
-        BoundaryPoint (two complex numbers) or a ChartStack (two arrays
-        of shape (n,))."""
-        p = ChartStack.of(points)
-        phi = self.Pi(p.x) * self._normalizer(p.x, p.nu)
-        _, H = self.stretched_frame(p)
+        beta = tau + 2 H, H the stretched mean curvature, at boundary
+        points: two arrays of their leading shape (...)."""
+        phi = self.Pi(points.x) * self._normalizer(points.x, points.nu)
+        _, H = self.stretched_frame(points)
         return phi, self.tau + 2.0 * H
 
     def m_matrix(self, points) -> np.ndarray:
@@ -329,8 +277,8 @@ class StretchContext:
         where ^T is the plain transpose (adjoint for the bilinear dot
         product) and nu~ is the stretched conormal.  Vanishes on all six
         flat faces and is supported near the stretched edges and
-        corners.  ``points`` is a BoundaryPoint, giving one 2x2 matrix,
-        or a BoundaryStack, giving shape (n, 2, 2).
+        corners.  Boundary points of leading shape (...) give shape
+        (..., 2, 2).
         """
         nt = self.nu_tilde(points.x, points.nu)
         pi_m = algebra.projector(-1, nt)

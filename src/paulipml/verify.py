@@ -18,8 +18,7 @@ import numpy as np
 
 from .geometry import (BoxDomain, RoundedBox, BoundaryPoint,
                        rounded_box_point, sample_boundary, singular_distance)
-from .stretching import (AbsorptionProfile, BoundaryStack, ChartStack,
-                         StretchContext)
+from .stretching import AbsorptionProfile, StretchContext
 from .timedomain import (Grid, SimConfig, gaussian_source, run,
                          laplace_of_trace)
 from . import algebra, freqdomain, timedomain
@@ -333,30 +332,23 @@ def check_helmholtz_identity(ctx: StretchContext, n_samples: int = 10,
 
 # -- Neumann identity ---------------------------------------------------
 
-def _seam_clear(bp: BoundaryPoint, q: RoundedBox, margin: float) -> bool:
-    """True when bp sits well inside its smooth boundary patch."""
-    kind = bp.patch[0]
-    if kind == "face":
-        axis = (bp.patch[1] - 1) % 3
-        others = [i for i in range(3) if i != axis]
-        return all(abs(bp.x[i]) < q.core_h[i] - margin for i in others)
+def _seam_clear(bp: BoundaryPoint, q: RoundedBox, margin: float):
+    """True where bp sits well inside its smooth boundary patch: along
+    each normal direction the point is clear of the shrunk box by more
+    than margin * radius, along each tangent axis it is inside the
+    shrunk box by more than margin."""
     d = bp.x - np.clip(bp.x, -q.core_h, q.core_h)
-    if kind == "edge":
-        i, j = bp.patch[1]
-        k = 3 - i - j
-        ang_ok = min(abs(d[i]), abs(d[j])) > margin * q.radius
-        return ang_ok and abs(bp.x[k]) < q.core_h[k] - margin
-    comps = np.abs(d) / q.radius
-    return bool(np.min(comps) > margin)
+    return np.all(np.where(bp.nu != 0, np.abs(d) > margin * q.radius,
+                           np.abs(bp.x) < q.core_h - margin), axis=-1)
 
 
 def _sample_patch_points(q: RoundedBox, n: int, seed: int,
-                         margin: float = 0.2):
-    samples = [bp for bp, _ in sample_boundary(q, density=60.0)
-               if _seam_clear(bp, q, margin)]
+                         margin: float = 0.2) -> BoundaryPoint:
+    samples = sample_boundary(q, density=60.0)
+    samples = samples[_seam_clear(samples, q, margin)]
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(samples), size=min(n, len(samples)), replace=False)
-    return [samples[i] for i in idx]
+    return samples[idx]
 
 
 def check_neumann_identity(surface: str = "sphere", n_points: int = 15,
@@ -390,7 +382,7 @@ def check_neumann_identity(surface: str = "sphere", n_points: int = 15,
         box = BoxDomain((1.0, 1.0, 1.0))
         q = RoundedBox(box, delta)
         bps = _sample_patch_points(q, n_points, seed)
-        points = [(bp.x, bp.mean_curvature) for bp in bps]
+        points = list(zip(bps.x, bps.H))
 
         def nu_ext(y, q=q):
             d = y - np.clip(y, -q.core_h, q.core_h)
@@ -605,40 +597,35 @@ def check_m_bounds(box: BoxDomain, profiles, delta_set, tau_set,
     tau; (iii) the surface gradient satisfies ||grad m|| <= C |beta|.
 
     The geometry of each delta is built once: the samples, the far-face
-    mask, the seam-clear curved samples with their jet chart data, and
-    the boundary points at +-h along each of their chart parameters.
-    Each tau then evaluates m on the samples and on those neighbours,
-    and beta on the curved samples, as stacked array passes.
+    mask, the seam-clear curved samples, and the boundary points at +-h
+    along each of their chart parameters.  Each tau then evaluates m on
+    the samples and on those neighbours, and beta on the curved
+    samples, as stacked array passes.
     """
     rows = []
     face_far_max = 0.0
     sup_by_tau = {complex(t): 0.0 for t in tau_set}
     grad_const = 0.0
     h = 1e-4
-    offsets = [sign * h * e for e in np.eye(2) for sign in (1.0, -1.0)]
+    # axes: chart parameter, sign of the offset
+    offsets = h * np.array([[e, -e] for e in np.eye(2)])
     for delta in delta_set:
         q = RoundedBox(box, delta)
-        bps = [bp for bp, _wt in sample_boundary(q, density=density)]
-        samples = BoundaryStack(bps)
-        far = np.array([bp.patch[0] == "face"
-                         and singular_distance(box, bp.x) > delta
-                         for bp in bps], dtype=bool)
-        curved_bps = [bp for bp in bps if bp.patch[0] != "face"
-                      and _seam_clear(bp, q, 0.15)]
-        curved = ChartStack(curved_bps)
-        neighbours = BoundaryStack(rounded_box_point(q, bp.chart(a))
-                                   for a in offsets for bp in curved_bps)
+        samples = sample_boundary(q, density=density)
+        face = samples.kind == 0
+        far = face & (singular_distance(box, samples.x) > delta)
+        curved = samples[~face & _seam_clear(samples, q, 0.15)]
+        neighbours = rounded_box_point(q, curved.chart(offsets))
         for tau in tau_set:
             ctx = StretchContext(complex(tau), tuple(profiles))
             nrm = np.linalg.norm(ctx.m_matrix(samples), 2, axis=(-2, -1))
             sup_m = float(np.max(nrm, initial=0.0))
             far_m = float(np.max(nrm[far], initial=0.0))
-            # axes: chart parameter, sign of the offset, sample, 2x2
-            mn = ctx.m_matrix(neighbours).reshape(2, 2, -1, 2, 2)
-            grad = np.linalg.norm((mn[:, 0] - mn[:, 1]) / (2 * h), 2,
+            mn = ctx.m_matrix(neighbours)
+            grad = np.linalg.norm((mn[:, :, 0] - mn[:, :, 1]) / (2 * h), 2,
                                   axis=(-2, -1))
             _, beta = ctx.Phi_beta(curved)
-            c3 = float(np.max(np.sqrt(grad[0] ** 2 + grad[1] ** 2)
+            c3 = float(np.max(np.sqrt(grad[:, 0] ** 2 + grad[:, 1] ** 2)
                               / np.abs(beta), initial=0.0))
             rows.append([delta, complex(tau), sup_m, far_m, c3])
             face_far_max = _worse(face_far_max, far_m)

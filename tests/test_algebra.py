@@ -82,7 +82,7 @@ def test_projector_stack_matches_pointwise():
     ctx = StretchContext(0.1 + 1.0j, tuple(
         AbsorptionProfile(a=0.5, b=1.0, sigma0=4.0) for _ in range(3)))
     stretched = np.array([ctx.nu_tilde(bp.x, bp.nu)
-                          for bp, _ in geo.sample_boundary(q, density=2)])
+                          for bp in geo.sample_boundary(q, density=2)])
     assert not any(algebra.in_holomorphy_domain(x) for x in stretched)
     xi = np.concatenate([free, stretched])
     for sign in (+1, -1):

@@ -132,6 +132,17 @@ def test_second_bc_returns_all_faces():
     assert faces[1].shape == (9, 9)
 
 
+def test_second_bc_residual_keeps_a_nan():
+    """A NaN on one interior node of face 3 makes the worst residual NaN;
+    a running Python max would drop it and report the other faces."""
+    grid, ctx = _setup(13)
+    u = fd.solve(fd.assemble_stretched(ctx, grid, _bump_source(grid)))
+    u[0, 6, 6, 0] = np.nan
+    faces, worst = fd.second_bc_residual(u, ctx, grid)
+    assert np.isnan(faces[3]).any() and not np.isnan(faces[6]).any()
+    assert np.isnan(worst)
+
+
 def _bulk_operator(ctx, grid):
     """tau + sum_j A_j K_j assembled without the boundary row
     replacement."""

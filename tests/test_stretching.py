@@ -5,9 +5,9 @@ import pytest
 
 from paulipml import geometry as geo
 from paulipml.errors import ContinuationError
-from paulipml.stretching import (AbsorptionProfile, BoundaryStack,
-                                 ChartStack, StretchContext,
-                                 continuation_threshold, principal_sqrt)
+from paulipml.stretching import (_JET_OFFSETS, AbsorptionProfile,
+                                 StretchContext, continuation_threshold,
+                                 principal_sqrt)
 
 
 def _ctx(tau=2.0 + 1.0j, sigma0=4.0):
@@ -214,20 +214,22 @@ def test_stacked_coefficients_match_pointwise(unit_box, tau):
     """m, the jet and (Phi, beta) on a stack of face, edge and corner
     points equal the per-point calls: m exactly, H and beta to 1e-12."""
     q = geo.RoundedBox(unit_box, 0.3)
-    bps = [geo.rounded_box_point(q, p) for p in (
+    pts = np.array([
         [1.0, 0.2, -0.3], [0.1, -1.0, 0.3], [0.93, 0.91, 0.2],
-        [-0.2, 0.94, -0.92], [0.92, 0.93, 0.94], [-0.93, -0.92, 0.95])]
-    assert {bp.patch[0] for bp in bps} == {"face", "edge", "corner"}
+        [-0.2, 0.94, -0.92], [0.92, 0.93, 0.94], [-0.93, -0.92, 0.95]])
+    stack = geo.rounded_box_point(q, pts)
+    bps = [geo.rounded_box_point(q, p) for p in pts]
+    assert set(stack.kind) == {0, 1, 2}
     ctx = _ctx(tau=tau)
-    stack = ChartStack(bps)
-    assert np.array_equal(ctx.m_matrix(BoundaryStack(bps)),
-                          ctx.m_matrix(stack))
     m = ctx.m_matrix(stack)
     nu, H, T, dn = ctx.stretched_jet(stack)
     phi, beta = ctx.Phi_beta(stack)
     assert m.shape == (6, 2, 2) and H.shape == beta.shape == (6,)
     assert nu.shape == (6, 3) and T.shape == dn.shape == (6, 3, 2)
     for i, bp in enumerate(bps):
+        assert bp.kind == stack.kind[i]
+        assert np.array_equal(bp.x, stack.x[i])
+        assert np.array_equal(bp.nu, stack.nu[i])
         assert np.array_equal(m[i], ctx.m_matrix(bp))
         nu1, H1, T1, dn1 = ctx.stretched_jet(bp)
         assert abs(H[i] - H1) <= 1e-12 * max(abs(H1), 1.0)
@@ -236,22 +238,22 @@ def test_stacked_coefficients_match_pointwise(unit_box, tau):
         phi1, beta1 = ctx.Phi_beta(bp)
         assert abs(beta[i] - beta1) <= 1e-12 * abs(beta1)
         assert abs(phi[i] - phi1) <= 1e-12 * abs(phi1)
-        if bp.patch[0] == "face":
+        if bp.kind == 0:
             assert H[i] == 0.0 and not np.any(dn[i])
 
 
 def test_one_point_is_the_zero_dimensional_stack(unit_box):
-    """One BoundaryPoint stacks to shapes (3,) and (); a ChartStack
-    passes through ``ChartStack.of`` unchanged."""
+    """One BoundaryPoint has shapes (3,) and () and its jet charts
+    shapes (9, 3) and (9, 3, 2); an empty stack gives empty results."""
     q = geo.RoundedBox(unit_box, 0.3)
-    bp = geo.rounded_box_point(q, [0.93, 0.91, 0.2])
-    one = ChartStack(bp)
-    assert one.x.shape == (3,) and one.face.shape == ()
-    assert one.chart_x.shape == (9, 3) and one.chart_jac.shape == (9, 3, 2)
-    assert ChartStack.of(one) is one
+    one = geo.rounded_box_point(q, [0.93, 0.91, 0.2])
+    assert one.x.shape == (3,) and one.kind.shape == ()
+    assert one.chart(_JET_OFFSETS).shape == (9, 3)
+    assert one.chart_jacobian(_JET_OFFSETS).shape == (9, 3, 2)
     _, H = _ctx(tau=10.0 + 5.0j).stretched_frame(one)
     assert isinstance(H, complex)
-    assert _ctx().m_matrix(BoundaryStack([])).shape == (0, 2, 2)
+    none = geo.rounded_box_point(q, np.empty((0, 3)))
+    assert _ctx().m_matrix(none).shape == (0, 2, 2)
 
 
 def test_continuation_threshold(unit_box):

@@ -200,13 +200,12 @@ def _m_bounds_reference(box, profiles, delta_set, tau_set, density):
         for tau in tau_set:
             ctx = StretchContext(complex(tau), tuple(profiles))
             sup_m = far = c3 = 0.0
-            for bp, _wt in samples:
+            for bp in samples:
                 nrm = float(np.linalg.norm(ctx.m_matrix(bp), 2))
                 sup_m = max(sup_m, nrm)
-                if bp.patch[0] == "face" and \
-                        singular_distance(box, bp.x) > delta:
+                if bp.kind == 0 and singular_distance(box, bp.x) > delta:
                     far = max(far, nrm)
-                if bp.patch[0] != "face" and verify._seam_clear(bp, q, 0.15):
+                if bp.kind != 0 and verify._seam_clear(bp, q, 0.15):
                     acc = 0.0
                     for i in range(2):
                         e = np.zeros(2)
