@@ -26,7 +26,6 @@ from .errors import ContinuationError, DomainError
 __all__ = [
     "pauli_matrices",
     "symbol",
-    "det_L",
     "quadratic",
     "principal_sqrt",
     "eigenvalues",
@@ -79,11 +78,6 @@ def principal_sqrt(z):
             f"radicand {complex(z[cut][0])} on the branch cut (-inf, 0]")
     root = np.sqrt(z)
     return complex(root) if root.ndim == 0 else root
-
-
-def det_L(tau: complex, xi) -> complex:
-    """det(tau I + A(xi)) = tau^2 - sum_j xi_j^2."""
-    return complex(tau) ** 2 - quadratic(xi)
 
 
 def in_holomorphy_domain(xi) -> bool:

@@ -6,7 +6,8 @@ purpose so configs diff cleanly:
 
     [experiment]
     kind = check:transverse        # or timedomain | freqdomain |
-                                   # check:<name> | suite:identities
+                                   # check:<name> | suite:identities |
+                                   # suite:acceptance
     seed = 0
 
     [domain]
@@ -32,6 +33,13 @@ purpose so configs diff cleanly:
     stride = 2
     lambda = 1.0
 
+Kinds (``paulipml --list``): ``timedomain``, ``freqdomain``, one check
+``check:<helmholtz|neumann|transverse|coercivity|m_bounds|reflection|
+laplace|estimate|stability>``, ``suite:identities`` (the first three
+checks) and ``suite:acceptance``: the 12 acceptance criteria of
+``verify.ACCEPTANCE`` at their fixed settings, which ignores every other
+config key and names each artifact ``<NN>_<title>``, NN the criterion.
+
 Exit codes: 0 all checks passed, 2 a check failed, 1 runtime error.
 Every run writes a manifest listing its artifacts with content hashes.
 """
@@ -41,7 +49,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
@@ -52,22 +60,6 @@ from .timedomain import (Grid, SimConfig, gaussian_source, run,
 from . import freqdomain, verify
 
 __all__ = ["ExperimentConfig", "parse_config", "run_experiment", "main"]
-
-_KINDS = [
-    "timedomain",
-    "freqdomain",
-    "check:helmholtz",
-    "check:neumann",
-    "check:transverse",
-    "check:coercivity",
-    "check:m_bounds",
-    "check:reflection",
-    "check:laplace",
-    "check:estimate",
-    "check:stability",
-    "suite:identities",
-]
-
 
 @dataclass
 class ExperimentConfig:
@@ -195,6 +187,12 @@ def parse_config(path) -> ExperimentConfig:
             f"start: {cfg.start} outside [0, half_length)")
     if cfg.order < 1:
         value_errors.append(f"order: {cfg.order} must be >= 1")
+    if cfg.stride < 1:
+        value_errors.append(f"stride: {cfg.stride} must be >= 1")
+    if cfg.seed < 0:
+        value_errors.append(f"seed: {cfg.seed} must be >= 0")
+    if cfg.lam <= 0:
+        value_errors.append(f"lambda: {cfg.lam} must be positive")
     if any(t.real <= 0 for t in cfg.taus):
         value_errors.append("tau: all values need positive real part")
     if value_errors:
@@ -202,101 +200,107 @@ def parse_config(path) -> ExperimentConfig:
     return cfg
 
 
-def _dispatch(cfg: ExperimentConfig, out: Path):
-    """Run the experiment; returns (reports, artifacts)."""
-    artifacts = []
-    reports = []
-    profiles = cfg.profiles()
+@dataclass
+class _Output:
+    """The reports and artifacts a run writes into ``dir``."""
 
-    def emit(rep):
-        p = out / f"report_{rep.name}.txt"
-        rep.save(p)
-        artifacts.append(p)
-        reports.append(rep)
+    dir: Path
+    reports: list = field(default_factory=list)
+    artifacts: list = field(default_factory=list)
+
+    def path(self, name: str) -> Path:
+        self.artifacts.append(self.dir / name)
+        return self.artifacts[-1]
+
+    def emit(self, rep, stem: str | None = None) -> None:
+        """Save rep as ``<stem>.txt`` or else ``report_<name>.txt``, and
+        each table as ``<stem or name>_<table>.csv``."""
+        rep.save(self.path(f"report_{rep.name}.txt" if stem is None
+                           else f"{stem}.txt"))
+        self.reports.append(rep)
         for tname in rep.tables:
-            cp = out / f"{rep.name}_{tname}.csv"
-            cp.write_text(rep.csv(tname))
-            artifacts.append(cp)
+            self.path(f"{stem or rep.name}_{tname}.csv").write_text(
+                rep.csv(tname))
 
-    kind = cfg.kind
-    if kind == "timedomain":
-        grid = cfg.grid()
-        src = gaussian_source(grid, t_off=min(1.0, cfg.T),
-                              width=0.15 * cfg.half_length)
-        cfgsim = SimConfig(grid, cfl=cfg.cfl, T=cfg.T,
-                           probes=((0.0, 0.0, 0.0),), stride=cfg.stride,
-                           lam=cfg.lam)
-        rec = run(cfgsim, profiles, src)
-        probe_path = out / "probes.csv"
-        write_probes(probe_path, rec)
-        artifacts.append(probe_path)
-        snap = out / "final_trace.bin"
-        write_snapshot(snap, rec.traces[-1], grid.spacing, rec.times[-1])
-        artifacts += [snap, Path(str(snap) + ".hdr")]
-        norms = weighted_norms(rec, cfg.lam)
-        emit(verify.CheckReport("timedomain_run",
-                                params={"grid": list(grid.shape),
-                                        "T": cfg.T, "lambda": cfg.lam},
-                                measured=norms))
-    elif kind == "freqdomain":
-        grid = cfg.grid()
-        src = gaussian_source(grid, width=0.15 * cfg.half_length)
-        rep = verify.CheckReport("freqdomain_run",
-                                 params={"grid": list(grid.shape)})
-        rows = []
-        for i, tau in enumerate(cfg.taus):
-            ctx = StretchContext(tau, profiles)
-            op = freqdomain.assemble_stretched(ctx, grid, src.spatial)
-            u = freqdomain.solve(op)
-            snap = out / f"solution_tau{i}.bin"
-            write_snapshot(snap, u, grid.spacing, 0.0)
-            artifacts += [snap, Path(str(snap) + ".hdr")]
-            if i == 0:
-                mpath = out / "operator_tau0.txt"
-                freqdomain.export_matrix(mpath, op)
-                artifacts.append(mpath)
-            _, bc_max = freqdomain.second_bc_residual(u, ctx, grid)
-            rows.append([tau, grid.norm(u), bc_max])
-        rep.tables["per_tau"] = (["tau", "norm_u", "bc2_residual"], rows)
-        emit(rep)
-    elif kind == "check:helmholtz":
-        ctx = StretchContext(cfg.taus[0], profiles)
-        emit(verify.check_helmholtz_identity(ctx, seed=cfg.seed))
-    elif kind == "check:neumann":
-        emit(verify.check_neumann_identity("sphere", seed=cfg.seed))
-        rep = verify.check_neumann_identity("rounded_box", seed=cfg.seed,
-                                            delta=cfg.delta)
-        rep.name = "neumann_identity_box"
-        emit(rep)
-    elif kind == "check:transverse":
-        emit(verify.check_transverse_identity(
-            profiles, cfg.delta, cfg.taus, box=cfg.box(), seed=cfg.seed))
-    elif kind == "check:coercivity":
-        emit(verify.check_coercivity(profiles, cfg.grid(), cfg.taus,
-                                     seed=cfg.seed))
-    elif kind == "check:m_bounds":
-        emit(verify.check_m_bounds(cfg.box(), profiles, [cfg.delta],
-                                   cfg.taus, seed=cfg.seed))
-    elif kind == "check:reflection":
-        emit(verify.reflection_experiment(sigma0=max(cfg.sigma0, 1.0),
-                                          cfl=cfg.cfl))
-    elif kind == "check:laplace":
-        emit(verify.laplace_consistency(cfg.grid(), profiles, cfg.taus,
-                                        T=cfg.T, cfl=cfg.cfl))
-    elif kind == "check:estimate":
-        emit(verify.stretched_estimate(profiles, half=cfg.half_length))
-    elif kind == "check:stability":
-        emit(verify.check_stability(profiles, lam_set=(cfg.lam, 2 * cfg.lam),
-                                    cfl=cfg.cfl, half=cfg.half_length))
-    elif kind == "suite:identities":
-        for part in ("check:helmholtz", "check:neumann", "check:transverse"):
-            part_reports, part_artifacts = _dispatch(replace(cfg, kind=part),
-                                                     out)
-            reports += part_reports
-            artifacts += part_artifacts
-    else:
-        raise ValidationError(f"unhandled kind {kind!r}")
-    return reports, artifacts
+
+def _timedomain(cfg: ExperimentConfig, o: _Output):
+    grid = cfg.grid()
+    src = gaussian_source(grid, t_off=min(1.0, cfg.T),
+                          width=0.15 * cfg.half_length)
+    cfgsim = SimConfig(grid, cfl=cfg.cfl, T=cfg.T, probes=((0.0, 0.0, 0.0),),
+                       stride=cfg.stride, lam=cfg.lam)
+    rec = run(cfgsim, cfg.profiles(), src)
+    write_probes(o.path("probes.csv"), rec)
+    write_snapshot(o.path("final_trace.bin"), rec.traces[-1], grid.spacing,
+                   rec.times[-1])
+    o.path("final_trace.bin.hdr")
+    o.emit(verify.CheckReport("timedomain_run",
+                              params={"grid": list(grid.shape),
+                                      "T": cfg.T, "lambda": cfg.lam},
+                              measured=weighted_norms(rec, cfg.lam)))
+
+
+def _freqdomain(cfg: ExperimentConfig, o: _Output):
+    grid = cfg.grid()
+    src = gaussian_source(grid, width=0.15 * cfg.half_length)
+    profiles = cfg.profiles()
+    rows = []
+    for i, tau in enumerate(cfg.taus):
+        ctx = StretchContext(tau, profiles)
+        op = freqdomain.assemble_stretched(ctx, grid, src.spatial)
+        u = freqdomain.solve(op)
+        write_snapshot(o.path(f"solution_tau{i}.bin"), u, grid.spacing, 0.0)
+        o.path(f"solution_tau{i}.bin.hdr")
+        if i == 0:
+            freqdomain.export_matrix(o.path("operator_tau0.txt"), op)
+        _, bc_max = freqdomain.second_bc_residual(u, ctx, grid)
+        rows.append([tau, grid.norm(u), bc_max])
+    o.emit(verify.CheckReport(
+        "freqdomain_run", params={"grid": list(grid.shape)},
+        tables={"per_tau": (["tau", "norm_u", "bc2_residual"], rows)}))
+
+
+def _neumann(cfg: ExperimentConfig, o: _Output):
+    o.emit(verify.check_neumann_identity("sphere", seed=cfg.seed))
+    rep = verify.check_neumann_identity("rounded_box", seed=cfg.seed,
+                                        delta=cfg.delta)
+    rep.name = "neumann_identity_box"
+    o.emit(rep)
+
+
+# kind -> runner(cfg, output); each kind is named only here
+_RUNNERS = {
+    "timedomain": _timedomain,
+    "freqdomain": _freqdomain,
+    "check:helmholtz": lambda cfg, o: o.emit(verify.check_helmholtz_identity(
+        StretchContext(cfg.taus[0], cfg.profiles()), seed=cfg.seed)),
+    "check:neumann": _neumann,
+    "check:transverse": lambda cfg, o: o.emit(
+        verify.check_transverse_identity(cfg.profiles(), cfg.delta,
+                                         cfg.taus, box=cfg.box(),
+                                         seed=cfg.seed)),
+    "check:coercivity": lambda cfg, o: o.emit(verify.check_coercivity(
+        cfg.profiles(), cfg.grid(), cfg.taus, seed=cfg.seed)),
+    "check:m_bounds": lambda cfg, o: o.emit(verify.check_m_bounds(
+        cfg.box(), cfg.profiles(), [cfg.delta], cfg.taus, seed=cfg.seed)),
+    "check:reflection": lambda cfg, o: o.emit(verify.reflection_experiment(
+        sigma0=max(cfg.sigma0, 1.0), cfl=cfg.cfl)),
+    "check:laplace": lambda cfg, o: o.emit(verify.laplace_consistency(
+        cfg.grid(), cfg.profiles(), cfg.taus, T=cfg.T, cfl=cfg.cfl)),
+    "check:estimate": lambda cfg, o: o.emit(verify.stretched_estimate(
+        cfg.profiles(), half=cfg.half_length)),
+    "check:stability": lambda cfg, o: o.emit(verify.check_stability(
+        cfg.profiles(), lam_set=(cfg.lam, 2 * cfg.lam), cfl=cfg.cfl,
+        half=cfg.half_length)),
+    "suite:identities": lambda cfg, o: [
+        _RUNNERS[k](cfg, o)
+        for k in ("check:helmholtz", "check:neumann", "check:transverse")],
+    # the registry fixes every setting, so the config's other keys are unused
+    "suite:acceptance": lambda cfg, o: [
+        o.emit(check(), f"{num:02d}_{title}")
+        for num, title, check in verify.ACCEPTANCE],
+}
+_KINDS = tuple(_RUNNERS)
 
 
 def _write_manifest(out: Path, artifacts) -> Path:
@@ -311,16 +315,18 @@ def _write_manifest(out: Path, artifacts) -> Path:
 def run_experiment(cfg: ExperimentConfig, out_dir,
                    tolerance_scale: float = 1.0) -> int:
     """Execute one experiment; returns the process exit code."""
-    out = Path(out_dir)
+    output = _Output(Path(out_dir))
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        reports, artifacts = _dispatch(cfg, out)
-        _write_manifest(out, artifacts)
+        output.dir.mkdir(parents=True, exist_ok=True)
+        if cfg.kind not in _RUNNERS:
+            raise ValidationError(f"unhandled kind {cfg.kind!r}")
+        _RUNNERS[cfg.kind](cfg, output)
+        _write_manifest(output.dir, output.artifacts)
     except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    verdicts = [r.verdict(tolerance_scale) for r in reports]
-    for r, ok in zip(reports, verdicts):
+    verdicts = [r.verdict(tolerance_scale) for r in output.reports]
+    for r, ok in zip(output.reports, verdicts):
         print(f"{r.name}: {'pass' if ok else 'FAIL'}")
     return 0 if all(verdicts) else 2
 
@@ -349,6 +355,10 @@ def main(argv=None) -> int:
     if not 0 < args.tolerance_scale < float("inf"):
         print(f"config error: --tolerance-scale {args.tolerance_scale} "
               "must be finite and > 0", file=sys.stderr)
+        return 1
+    if args.seed is not None and args.seed < 0:
+        print(f"config error: --seed {args.seed} must be >= 0",
+              file=sys.stderr)
         return 1
     try:
         cfg = parse_config(args.config)

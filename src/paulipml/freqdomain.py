@@ -113,10 +113,6 @@ class SparseComplexOperator:
     grid: Grid
     ctx: StretchContext
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
     def triplets(self):
         coo = self.matrix.tocoo()
         return coo.row, coo.col, coo.data
@@ -435,15 +431,6 @@ class HelmholtzAssembly:
         flags = _node_flags(self.grid.shape)
         nbits = sum((flags >> b) & 1 for b in range(6))
         out[:, (nbits > 1).reshape(self.grid.shape)] = 0.0
-        return out
-
-    def project_test(self, v: np.ndarray) -> np.ndarray:
-        """Constrain face nodes of the test field to ker pi^+(nu)^T."""
-        out = v.copy()
-        for _, _, _, nu, index in faces():
-            pim_t = algebra.projector(-1, nu).T
-            sl = (slice(None),) + index
-            out[sl] = np.einsum("ab,b...->a...", pim_t, out[sl])
         return out
 
 

@@ -96,15 +96,6 @@ class BoxDomain:
     def h(self) -> np.ndarray:
         return np.asarray(self.half_lengths, dtype=float)
 
-    def contains(self, x, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(np.asarray(x, dtype=float)) <= self.h + tol))
-
-    def in_inner_box(self, x, tol: float = 0.0) -> bool:
-        return bool(
-            np.all(np.abs(np.asarray(x, dtype=float))
-                   <= self.inner_fraction * self.h + tol)
-        )
-
 
 @dataclass(frozen=True)
 class RoundedBox:
@@ -137,9 +128,6 @@ class RoundedBox:
         outside = _norm(np.maximum(d, 0.0))
         inside = np.minimum(np.max(d, axis=-1), 0.0)
         return outside + inside - self.radius
-
-    def contains(self, x, tol: float = 0.0) -> bool:
-        return self.signed_distance(x) <= tol
 
 
 @dataclass(frozen=True, eq=False)

@@ -155,10 +155,6 @@ class StretchContext:
         if len(self.profiles) != 3:
             raise ValueError("need one profile per axis")
 
-    def sigma(self, j: int, s):
-        """sigma_j evaluated at coordinate s; j in 0..2."""
-        return self.profiles[j](s)
-
     def sigma_at(self, x) -> np.ndarray:
         """All three sigmas at points x (..., 3)."""
         x = _as_points(x)
@@ -222,7 +218,10 @@ class StretchContext:
         mean curvature (...), the two tangent vectors dy/dalpha_i of
         the image surface (columns of a (..., 3, 2) array), and the
         derivatives of the conormal along them (same layout).  On flat
-        faces H and dnu are exactly zero.  The linear extension
+        faces H and dnu are exactly zero.  The normal is normalized by
+        the principal square root of its bilinear (not Hermitian)
+        quadratic form, so all of it is holomorphic in tau above the
+        continuation threshold.  The linear extension
         m(y) = nu + B (y - y0) with B tangents_i = dnu_i, B nu = 0 has
         the exact jet of the normal field that is constant along normal
         lines; the identity checks rely on this.
@@ -245,28 +244,12 @@ class StretchContext:
         dn = np.where(face[..., None, None], 0.0, dn)
         return nhat[..., 0, :], H, t0, dn
 
-    def stretched_frame(self, points) -> tuple[np.ndarray, complex]:
-        """Unit conormal and mean curvature of the stretched image of
-        the rounded boundary at boundary points.
-
-        The image surface is alpha -> X(tau, chart(alpha)).  Tangents
-        come from the closed-form Jacobian dX/dx = diag(1/r_j); the
-        normal is their cross product normalized by the principal square
-        root of its own quadratic form (bilinear, not Hermitian).  The
-        Weingarten map is assembled from Richardson-extrapolated central
-        differences of the normal in the chart parameters, and the mean
-        curvature is half its trace.  Everything is rational/algebraic
-        in 1/tau, hence holomorphic above the continuation threshold.
-        """
-        nu0, H, _, _ = self.stretched_jet(points)
-        return nu0, H
-
     def Phi_beta(self, points):
         """Boundary weights Phi = Pi (sum nu_j^2 r_j^2)^{1/2} and
         beta = tau + 2 H, H the stretched mean curvature, at boundary
         points: two arrays of their leading shape (...)."""
         phi = self.Pi(points.x) * self._normalizer(points.x, points.nu)
-        _, H = self.stretched_frame(points)
+        _, H, _, _ = self.stretched_jet(points)
         return phi, self.tau + 2.0 * H
 
     def m_matrix(self, points) -> np.ndarray:

@@ -122,9 +122,6 @@ class SplitState:
         """The physical field s = U1 + U2 + U3."""
         return np.sum(self.U, axis=0)
 
-    def copy(self) -> "SplitState":
-        return SplitState(self.U.copy(), self.t)
-
 
 @dataclass(frozen=True)
 class SourceSpec:

@@ -87,6 +87,7 @@ def test_list_flag(capsys):
     assert "timedomain" in out
     assert "suite:identities" in out
     assert "check:stability" in out
+    assert "suite:acceptance" in out
 
 
 def test_missing_config_is_exit_1(tmp_path, capsys):
@@ -198,3 +199,72 @@ def test_unwritable_out_dir_is_exit_1(tmp_path, capsys):
     code = cli.main([str(cfgp), "--out", str(blocker / "sub")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, line, key", [
+    ("time", "stride = 0", "stride"),
+    ("experiment", "seed = -1", "seed"),
+    ("time", "lambda = 0", "lambda")])
+def test_out_of_range_value_is_a_validation_error(tmp_path, section, line,
+                                                  key):
+    text = f"[experiment]\nkind = timedomain\n[{section}]\n{line}\n"
+    with pytest.raises(ValidationError, match=f"{key}: "):
+        cli.parse_config(_write(tmp_path, text))
+
+
+def test_negative_lambda_stability_run_is_a_config_error(tmp_path, capsys):
+    text = "[experiment]\nkind = check:stability\n[time]\nlambda = -1\n"
+    out = tmp_path / "out"
+    assert cli.main([str(_write(tmp_path, text)), "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main([str(_write(tmp_path, GOOD)), "--out", str(out),
+                     "--seed", "-1"])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture
+def acceptance_01_to_03(monkeypatch):
+    """The registry cut to its criteria 01-03, which run in a second."""
+    monkeypatch.setattr(verify, "ACCEPTANCE",
+                        tuple(e for e in verify.ACCEPTANCE if e[0] <= 3))
+
+
+def test_acceptance_suite_manifest(tmp_path, acceptance_01_to_03, capsys):
+    """The acceptance kind ignores the config's settings, exits 0, and
+    writes a reproducible manifest of unique, numbered artifacts."""
+    cfgp = _write(tmp_path, GOOD.replace("check:helmholtz",
+                                         "suite:acceptance"))
+    manifests = []
+    for d in ("a1", "a2"):
+        out = tmp_path / d
+        assert cli.main([str(cfgp), "--out", str(out)]) == 0
+        manifests.append((out / "manifest.txt").read_text())
+    assert manifests[0] == manifests[1]
+    names = [line.split()[1] for line in manifests[0].splitlines()]
+    assert len(names) == len(set(names)) == 4
+    assert {n[:2] for n in names} == {"01", "02", "03"}
+    assert "spectral_algebra: pass" in capsys.readouterr().out
+
+
+def test_acceptance_suite_fails_on_broken_control(tmp_path, monkeypatch,
+                                                  acceptance_01_to_03,
+                                                  capsys):
+    check = verify.check_helmholtz_identity
+
+    def broken_control(*args, **kwargs):
+        rep = check(*args, **kwargs)
+        rep.measured["control_ratio"] = 2.0
+        return rep
+
+    monkeypatch.setattr(verify, "check_helmholtz_identity", broken_control)
+    cfg = cli.parse_config(_write(tmp_path, "[experiment]\n"
+                                  "kind = suite:acceptance\n"))
+    assert cli.run_experiment(cfg, tmp_path / "out", 1.5) == 2
+    assert "helmholtz_identity: FAIL" in capsys.readouterr().out

@@ -162,8 +162,8 @@ def test_bulk_inverse_is_exact(sigma0, tau, rng):
     roundoff, including the near-defective sigma = 0 case."""
     grid, ctx = _setup(9, tau=tau, sigma0=sigma0)
     op = fd.assemble_stretched(ctx, grid, np.zeros((2, 9, 9, 9)))
-    v = (rng.standard_normal(op.dimension)
-         + 1j * rng.standard_normal(op.dimension))
+    v = (rng.standard_normal(op.matrix.shape[0])
+         + 1j * rng.standard_normal(op.matrix.shape[0]))
     back = fd._bulk_inverse(op)(_bulk_operator(ctx, grid) @ v)
     assert np.linalg.norm(back - v) <= 1e-8 * np.linalg.norm(v)
 
@@ -269,8 +269,3 @@ class TestHelmholtzForm:
         assert np.max(np.abs(np.einsum("ab,b...->a...", pim, face))) < 1e-12
         # multi-face nodes are zeroed
         assert np.all(ut[:, 0, 0, :] == 0.0)
-        # test fields land in ker pi^+(nu)^T on the face interiors
-        vt = asm.project_test(u)
-        pip_t = projector(+1, face_normal(4)).T
-        vface = vt[:, -1, 1:-1, 1:-1]
-        assert np.max(np.abs(np.einsum("ab,b...->a...", pip_t, vface))) < 1e-12

@@ -38,13 +38,6 @@ def test_face_normals_and_axes():
         geo.face_axis_sign(7)
 
 
-def test_box_membership(unit_box):
-    assert unit_box.contains([0.9, -0.9, 0.2])
-    assert not unit_box.contains([1.1, 0, 0])
-    assert unit_box.in_inner_box([0.4, 0.4, -0.4])
-    assert not unit_box.in_inner_box([0.6, 0, 0])
-
-
 def test_rounded_box_validation(unit_box):
     with pytest.raises(ValueError):
         geo.RoundedBox(unit_box, delta=0.0)

@@ -88,7 +88,7 @@ class TestStretchContext:
             for s in (0.2, 0.7, -0.9):
                 fd = (ctx.stretch_map(j, s + h)
                       - ctx.stretch_map(j, s - h)) / (2 * h)
-                want = (ctx.tau + ctx.sigma(j, s)) / ctx.tau
+                want = (ctx.tau + ctx.profiles[j](s)) / ctx.tau
                 assert fd == pytest.approx(want, rel=1e-6)
 
     def test_pi_example(self):
@@ -135,14 +135,14 @@ class TestStretchContext:
             bp = geo.rounded_box_point(q, p)
             nt = ctx.nu_tilde(bp.x, bp.nu)
             nt = nt / principal_sqrt(complex(np.sum(nt * nt)))
-            nu_frame, _ = ctx.stretched_frame(bp)
+            nu_frame, _, _, _ = ctx.stretched_jet(bp)
             assert np.allclose(nu_frame, nt, atol=1e-10)
 
     def test_face_mean_curvature_zero(self, unit_box):
         q = geo.RoundedBox(unit_box, 0.3)
         ctx = _ctx()
         bp = geo.rounded_box_point(q, [1.0, 0.0, 0.0])
-        _, H = ctx.stretched_frame(bp)
+        _, H, _, _ = ctx.stretched_jet(bp)
         assert H == 0.0
 
     def test_image_curvature_approaches_geometric(self, unit_box):
@@ -156,7 +156,7 @@ class TestStretchContext:
                       for _ in range(3))
         errs = []
         for tau in (10.0, 40.0, 160.0):
-            _, H = StretchContext(tau, profs).stretched_frame(bp)
+            _, H, _, _ = StretchContext(tau, profs).stretched_jet(bp)
             errs.append(abs(H - bp.H))
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] < abs(bp.H) * 0.05
@@ -250,7 +250,7 @@ def test_one_point_is_the_zero_dimensional_stack(unit_box):
     assert one.x.shape == (3,) and one.kind.shape == ()
     assert one.chart(_JET_OFFSETS).shape == (9, 3)
     assert one.chart_jacobian(_JET_OFFSETS).shape == (9, 3, 2)
-    _, H = _ctx(tau=10.0 + 5.0j).stretched_frame(one)
+    _, H, _, _ = _ctx(tau=10.0 + 5.0j).stretched_jet(one)
     assert isinstance(H, complex)
     none = geo.rounded_box_point(q, np.empty((0, 3)))
     assert _ctx().m_matrix(none).shape == (0, 2, 2)
