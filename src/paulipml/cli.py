@@ -202,7 +202,8 @@ def parse_config(path) -> ExperimentConfig:
 
 @dataclass
 class _Output:
-    """The reports and artifacts a run writes into ``dir``."""
+    """The reports and artifacts a run writes into ``dir``.  Each report
+    is kept with its label: the stem it was saved under, or its name."""
 
     dir: Path
     reports: list = field(default_factory=list)
@@ -217,7 +218,7 @@ class _Output:
         each table as ``<stem or name>_<table>.csv``."""
         rep.save(self.path(f"report_{rep.name}.txt" if stem is None
                            else f"{stem}.txt"))
-        self.reports.append(rep)
+        self.reports.append((stem or rep.name, rep))
         for tname in rep.tables:
             self.path(f"{stem or rep.name}_{tname}.csv").write_text(
                 rep.csv(tname))
@@ -325,9 +326,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
     except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    verdicts = [r.verdict(tolerance_scale) for r in output.reports]
-    for r, ok in zip(output.reports, verdicts):
-        print(f"{r.name}: {'pass' if ok else 'FAIL'}")
+    verdicts = [r.verdict(tolerance_scale) for _, r in output.reports]
+    for (label, _), ok in zip(output.reports, verdicts):
+        print(f"{label}: {'pass' if ok else 'FAIL'}")
     return 0 if all(verdicts) else 2
 
 

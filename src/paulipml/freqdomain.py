@@ -86,22 +86,24 @@ def _along(m: np.ndarray, u: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(m, u, axes=(1, axis)), 0, axis)
 
 
-def _axis_operator(grid: Grid, j: int, ratio_1d: np.ndarray) -> sp.csr_matrix:
-    """Tensor placement of diag(ratio) @ D_j on the scalar grid."""
-    n1, n2, n3 = grid.shape
-    d = sp.diags(ratio_1d) @ _deriv1d(grid.shape[j], grid.spacing[j])
-    eyes = [sp.identity(n) for n in (n1, n2, n3)]
-    facs = [eyes[0], eyes[1], eyes[2]]
-    facs[j] = d
-    return sp.kron(sp.kron(facs[0], facs[1]), facs[2], format="csr")
+def _axis_factors(ctx: StretchContext, grid: Grid) -> list:
+    """The 1-D factors K_j = diag(tau/(tau+sigma_j)) D_j, j = 0, 1, 2,
+    each n_j x n_j and sparse."""
+    out = []
+    for j, ax in enumerate(grid.axes):
+        pts = np.zeros((len(ax), 3))
+        pts[:, j] = ax
+        out.append(sp.diags(ctx.ratios(pts)[:, j])
+                   @ _deriv1d(len(ax), grid.spacing[j]))
+    return out
 
 
-def _node_flags(shape) -> np.ndarray:
-    """Per node, bitmask of the faces it lies on (bit k-1 for face k)."""
-    flags = np.zeros(shape, dtype=np.int8)
-    for k, _, _, _, index in faces():
-        flags[index] |= 1 << (k - 1)
-    return flags.ravel()
+def _face_count(shape) -> np.ndarray:
+    """Per node, the number of faces it lies on."""
+    count = np.zeros(shape, dtype=np.int8)
+    for *_, index in faces():
+        count[index] += 1
+    return count
 
 
 @dataclass
@@ -137,36 +139,31 @@ def assemble_stretched(ctx: StretchContext, grid: Grid,
 
     A = algebra.pauli_matrices()
     nscalar = int(np.prod(grid.shape))
-    axes = grid.axes
 
+    eyes = [sp.identity(n) for n in grid.shape]
     op = sp.csr_matrix((2 * nscalar, 2 * nscalar), dtype=complex)
-    for j in range(3):
-        ratio = ctx.tau / (ctx.tau + ctx.profiles[j](axes[j]))
-        op = op + sp.kron(_axis_operator(grid, j, ratio), A[j], format="csr")
+    for j, k in enumerate(_axis_factors(ctx, grid)):
+        facs = list(eyes)
+        facs[j] = k
+        placed = sp.kron(sp.kron(facs[0], facs[1]), facs[2], format="csr")
+        op = op + sp.kron(placed, A[j], format="csr")
     op = op + ctx.tau * sp.identity(2 * nscalar, dtype=complex)
 
-    # row replacement at boundary nodes: S @ op + P, rhs = S @ F
-    flags = _node_flags(grid.shape)
-    s_blocks = np.zeros((nscalar, 2, 2), dtype=complex)
-    p_blocks = np.zeros((nscalar, 2, 2), dtype=complex)
-    eye2 = np.eye(2, dtype=complex)
-    interior = flags == 0
-    s_blocks[interior] = eye2
-    single = {k: (algebra.projector(+1, nu), algebra.projector(-1, nu))
-              for k, _, _, nu, _ in faces()}
-    for node in np.nonzero(flags)[0]:
-        on = [k for k in range(1, 7) if flags[node] & (1 << (k - 1))]
-        if len(on) == 1:
-            pip, pim = single[on[0]]
-            s_blocks[node] = pip
-            p_blocks[node] = pim
-        else:
-            for k in on:
-                p_blocks[node] += single[k][1]
+    # row replacement at boundary nodes: S @ op + P, rhs = S @ F; a node
+    # on one face keeps pi^+ of its equation, one on several faces only
+    # the summed pi^-
+    count = _face_count(grid.shape)
+    s_blocks = np.zeros(tuple(grid.shape) + (2, 2), dtype=complex)
+    p_blocks = np.zeros_like(s_blocks)
+    s_blocks[count == 0] = np.eye(2)
+    for _, _, _, nu, index in faces():
+        p_blocks[index] += algebra.projector(-1, nu)
+        s_blocks[index][count[index] == 1] = algebra.projector(+1, nu)
 
     def block_diag(blocks):
         return sp.bsr_matrix(
-            (blocks, np.arange(nscalar), np.arange(nscalar + 1)),
+            (blocks.reshape(nscalar, 2, 2), np.arange(nscalar),
+             np.arange(nscalar + 1)),
             shape=(2 * nscalar, 2 * nscalar)).tocsr()
 
     S = block_diag(s_blocks)
@@ -191,12 +188,10 @@ def _bulk_inverse(op: SparseComplexOperator):
     ctx, grid = op.ctx, op.grid
     tau = ctx.tau
     A = algebra.pauli_matrices()
-    K, Q, T = [], [], []
-    for j in range(3):
-        r = tau / (tau + ctx.profiles[j](grid.axes[j]))
-        k = r[:, None] * _deriv1d(grid.shape[j], grid.spacing[j]).toarray()
+    K = [k.toarray() for k in _axis_factors(ctx, grid)]
+    Q, T = [], []
+    for k in K:
         t, q = sla.schur(k @ k, output="complex")
-        K.append(k)
         Q.append(q)
         T.append(t)
     Qh = [q.conj().T for q in Q]
@@ -281,21 +276,11 @@ def helmholtz_vs_stretched(u: np.ndarray, ctx: StretchContext, grid: Grid,
 
     pu = np.zeros_like(u)
     for j in range(3):
-        # coefficient on the half grid along axis j
-        ax = grid.axes[j]
-        mid = 0.5 * (ax[1:] + ax[:-1])
-        c_axis = []
-        for m in range(3):
-            coord = mid if m == j else grid.axes[m]
-            c_axis.append(ctx.tau + ctx.profiles[m](coord))
-        # c_j = (tau+s_{j+1})(tau+s_{j+2}) / (tau (tau+s_j)) separable
-        jp, jq = (j + 1) % 3, (j + 2) % 3
-        fac = [None, None, None]
-        fac[j] = 1.0 / c_axis[j]
-        fac[jp] = c_axis[jp]
-        fac[jq] = c_axis[jq]
-        c_mid = (fac[0][:, None, None] * fac[1][None, :, None]
-                 * fac[2][None, None, :]) / tau
+        # c_j on the half grid along axis j
+        coords = list(grid.axes)
+        coords[j] = 0.5 * (coords[j][1:] + coords[j][:-1])
+        mid = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
+        c_mid = ctx.p_coefficients(mid)[..., j]
 
         um = np.moveaxis(u, j + 1, 1)  # (2, nj, ., .)
         cm = np.moveaxis(c_mid, j, 0)  # (nj-1, ., .)
@@ -351,11 +336,9 @@ def second_bc_residual(u: np.ndarray, ctx: StretchContext, grid: Grid,
     worst = 0.0
     for k, axis, _, nu, index in faces():
         sl = (slice(None),) + index
-        r = ctx.ratios(np.moveaxis(x[sl], 0, -1))
-        nt = nu * r
-        pip = algebra.projector(+1, nt)
-        norm = algebra.principal_sqrt(algebra.quadratic(nt))
-        vcoef = nu * r ** 2 / norm[..., None]
+        pts = np.moveaxis(x[sl], 0, -1)
+        pip = algebra.projector(+1, ctx.nu_tilde(pts, nu))
+        vcoef = ctx.V_coefficients(pts, nu)
         Vu = sum(vcoef[None, ..., m] * grads[m][sl] for m in range(3))
         expr = Vu + ctx.tau * u[sl]
         proj = np.einsum("...ab,b...->a...", pip, expr)
@@ -428,10 +411,20 @@ class HelmholtzAssembly:
             pip = algebra.projector(+1, nu)
             sl = (slice(None),) + index
             out[sl] = np.einsum("ab,b...->a...", pip, out[sl])
-        flags = _node_flags(self.grid.shape)
-        nbits = sum((flags >> b) & 1 for b in range(6))
-        out[:, (nbits > 1).reshape(self.grid.shape)] = 0.0
+        out[:, _face_count(self.grid.shape) > 1] = 0.0
         return out
+
+
+def _gauss_points(coords) -> np.ndarray:
+    """Quadrature points (ncell, ngauss, 3) of the tensor product of
+    three per-axis (cells, points) coordinate arrays; cells and points
+    each run in C order over the axes."""
+    c1, c2, c3 = coords
+    pts = np.stack(np.broadcast_arrays(c1[:, None, None, :, None, None],
+                                       c2[None, :, None, None, :, None],
+                                       c3[None, None, :, None, None, :]),
+                   axis=-1)
+    return pts.reshape(-1, int(np.prod(pts.shape[3:6])), 3)
 
 
 def assemble_helmholtz(ctx: StretchContext, grid: Grid) -> HelmholtzAssembly:
@@ -459,38 +452,21 @@ def assemble_helmholtz(ctx: StretchContext, grid: Grid) -> HelmholtzAssembly:
             dphi[ia, ig, 2] = N1[a, p] * N1[b, q] * dN1[c, r] / h[2]
     wvol = gw ** 3 * float(np.prod(h))
 
-    # Gauss point coordinates for every cell, axis by axis
-    def gauss_axis(j):
-        ax = grid.axes[j]
-        return ax[:-1, None] + h[j] * t[None, :]  # (ncell_j, 2)
-
-    gx = [gauss_axis(j) for j in range(3)]
+    # Gauss point coordinates for every cell, axis by axis: (ncell_j, 2)
+    gx = [ax[:-1, None] + h[j] * t[None, :] for j, ax in enumerate(grid.axes)]
     e1, e2, e3 = n1 - 1, n2 - 1, n3 - 1
     ncell = e1 * e2 * e3
 
-    # coefficients at all Gauss points: build from separable 1D factors
-    sig = [ctx.profiles[j](gx[j]) for j in range(3)]  # (ecount, 2)
+    # coefficients at all Gauss points
+    gp = _gauss_points(gx)
     tau = ctx.tau
-
-    def cell_coeff(fac1, fac2, fac3):
-        """Outer product over (cells x gauss) per axis -> (ncell, 8)."""
-        a = fac1[:, None, None, :, None, None]
-        b = fac2[None, :, None, None, :, None]
-        c = fac3[None, None, :, None, None, :]
-        return (a * b * c).reshape(ncell, 8)
-
-    tp = [tau + s for s in sig]  # (e_j, 2) each
-    Pi_g = cell_coeff(tp[0], tp[1], tp[2]) / tau ** 3
-    c_g = []
-    for j in range(3):
-        facs = [tp[0].copy(), tp[1].copy(), tp[2].copy()]
-        facs[j] = 1.0 / facs[j]
-        c_g.append(cell_coeff(*facs) / tau)
+    Pi_g = ctx.Pi(gp)
+    c_g = ctx.p_coefficients(gp)
 
     # element matrices, vectorized over cells
     K_loc = np.zeros((ncell, 8, 8), dtype=complex)
     for j in range(3):
-        K_loc += np.einsum("cg,ag,bg->cab", c_g[j],
+        K_loc += np.einsum("cg,ag,bg->cab", c_g[..., j],
                            dphi[:, :, j], dphi[:, :, j]) * wvol
     M_loc = np.einsum("cg,ag,bg->cab", tau ** 2 * Pi_g, phi, phi) * wvol
 
@@ -520,20 +496,12 @@ def assemble_helmholtz(ctx: StretchContext, grid: Grid) -> HelmholtzAssembly:
     fphi = np.einsum("ap,bq->abpq", N1, N1).reshape(4, 4)
     node_ids = np.arange(nscalar).reshape(grid.shape)
     Brows, Bcols, Bvals = [], [], []
-    for _, axis, sign, _, index in faces():
+    for _, axis, sign, nu, index in faces():
         i1, i2 = [i for i in range(3) if i != axis]
-        fe1, fe2 = grid.shape[i1] - 1, grid.shape[i2] - 1
         area_w = gw ** 2 * h[i1] * h[i2]
-        # Phi * tau at the face Gauss points; sigma_axis at the face
-        sfix = tau + ctx.profiles[axis](sign * grid.box.h[axis])
-        g1 = tau + ctx.profiles[i1](gauss_axis(i1))
-        g2 = tau + ctx.profiles[i2](gauss_axis(i2))
-        prod = (g1[:, None, :, None] * g2[None, :, None, :]
-                ).reshape(fe1 * fe2, 4)
-        Pi_f = prod * sfix / tau ** 3
-        rr = tau / sfix  # stretching ratio along the normal
-        norm_f = algebra.principal_sqrt(rr * rr)
-        coef = Pi_f * norm_f * tau  # Phi * beta with beta = tau
+        coords = list(gx)
+        coords[axis] = np.full((1, 1), sign * grid.box.h[axis])
+        coef = ctx.Phi(_gauss_points(coords), nu) * tau  # beta = tau
         floc = np.einsum("cg,ag,bg->cab", coef, fphi, fphi) * area_w
 
         foff = np.array([a * strides[i1] + b * strides[i2]

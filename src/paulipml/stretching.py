@@ -31,7 +31,6 @@ __all__ = [
     "AbsorptionProfile",
     "StretchContext",
     "principal_sqrt",
-    "continuation_threshold",
 ]
 
 
@@ -190,25 +189,29 @@ class StretchContext:
         Equivalently (tau+sigma_{j+1})(tau+sigma_{j+2})/(tau(tau+sigma_j)),
         indices mod 3.
         """
-        r = self.ratios(x)
-        return self.Pi(x)[..., None] * r ** 2 if r.ndim > 1 \
-            else self.Pi(x) * r ** 2
+        return self.Pi(x)[..., None] * self.ratios(x) ** 2
 
-    def _normalizer(self, x, nu) -> complex:
-        nt = self.nu_tilde(x, nu)
-        return principal_sqrt(algebra.quadratic(nt))
+    def _normalizer(self, x, nu) -> np.ndarray:
+        """(sum nu_j^2 r_j^2)^{1/2}, principal branch."""
+        return np.asarray(principal_sqrt(algebra.quadratic(
+            self.nu_tilde(x, nu))))
 
-    def V_coefficients(self, bp: BoundaryPoint) -> np.ndarray:
-        """Coefficient vector of the transverse first-order operator
+    def V_coefficients(self, x, nu) -> np.ndarray:
+        """Coefficient vectors (..., 3) of the transverse first-order
+        operator
 
             V = (sum nu_j^2 r_j^2)^{-1/2} sum nu_j r_j^2 d_j,
 
-        with r_j = tau/(tau + sigma_j).  Reduces to nu . grad when all
-        sigmas vanish.
+        with r_j = tau/(tau + sigma_j), at points x with conormals nu.
+        Reduces to nu . grad when all sigmas vanish.
         """
-        r = self.ratios(bp.x)
-        norm = self._normalizer(bp.x, bp.nu)
-        return np.asarray(bp.nu) * r ** 2 / norm
+        return np.asarray(nu) * self.ratios(x) ** 2 \
+            / self._normalizer(x, nu)[..., None]
+
+    def Phi(self, x, nu):
+        """Boundary weight Phi = Pi (sum nu_j^2 r_j^2)^{1/2} at points x
+        with conormals nu."""
+        return self.Pi(x) * self._normalizer(x, nu)
 
     def stretched_jet(self, points: BoundaryPoint):
         """First-order data of the stretched image surface at boundary
@@ -248,9 +251,8 @@ class StretchContext:
         """Boundary weights Phi = Pi (sum nu_j^2 r_j^2)^{1/2} and
         beta = tau + 2 H, H the stretched mean curvature, at boundary
         points: two arrays of their leading shape (...)."""
-        phi = self.Pi(points.x) * self._normalizer(points.x, points.nu)
         _, H, _, _ = self.stretched_jet(points)
-        return phi, self.tau + 2.0 * H
+        return self.Phi(points.x, points.nu), self.tau + 2.0 * H
 
     def m_matrix(self, points) -> np.ndarray:
         """Boundary defect matrix
@@ -268,48 +270,3 @@ class StretchContext:
         pi_p = algebra.projector(+1, nt)
         return self.tau * np.swapaxes(pi_m, -1, -2) \
             @ (np.conj(pi_p) - np.swapaxes(pi_p, -1, -2))
-
-
-def continuation_threshold(profiles, bp: BoundaryPoint,
-                           direction: complex = 1.0,
-                           r_max: float = 1e4) -> float:
-    """Empirical continuation threshold along the ray tau = r*direction.
-
-    Bisects for the smallest radius r in (0, r_max] at which every
-    coefficient (ratios, normalizer, stretched frame, m) evaluates
-    without a ContinuationError at bp; returns r_max if none is found.
-    The result is a measured, grid-dependent quantity, not a sharp
-    constant.
-    """
-    direction = complex(direction)
-    direction /= abs(direction)
-    if direction.real <= 0:
-        raise ValueError("ray must point into the right half plane")
-
-    def ok(r: float) -> bool:
-        try:
-            ctx = StretchContext(r * direction, tuple(profiles))
-            ctx.V_coefficients(bp)
-            ctx.Phi_beta(bp)
-            ctx.m_matrix(bp)
-        except (ContinuationError, ValueError):
-            return False
-        return True
-
-    lo, hi = 0.0, r_max
-    if not ok(hi):
-        return r_max
-    # walk down until failure, then bisect the boundary
-    r = hi
-    while r > 1e-6 and ok(r / 2):
-        r /= 2
-    if r <= 1e-6:
-        return 0.0
-    lo, hi = r / 2, r
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi

@@ -267,4 +267,22 @@ def test_acceptance_suite_fails_on_broken_control(tmp_path, monkeypatch,
     cfg = cli.parse_config(_write(tmp_path, "[experiment]\n"
                                   "kind = suite:acceptance\n"))
     assert cli.run_experiment(cfg, tmp_path / "out", 1.5) == 2
-    assert "helmholtz_identity: FAIL" in capsys.readouterr().out
+    assert "03_helmholtz_identity_absorbing: FAIL" in capsys.readouterr().out
+
+
+def test_acceptance_verdicts_name_the_registry_entry(tmp_path, monkeypatch,
+                                                     capsys):
+    """Two registry entries whose reports share a name print one verdict
+    line each, under the numbered name each was saved under."""
+    def entry(num, title, value):
+        return num, title, lambda: verify.CheckReport(
+            "shared", measured={"x": value},
+            criteria=(verify.Criterion("x_max", "measured.x", "<=", 1.0),))
+
+    monkeypatch.setattr(verify, "ACCEPTANCE", (entry(1, "first", 0.5),
+                                               entry(2, "second", 2.0)))
+    cfg = cli.parse_config(_write(tmp_path, "[experiment]\n"
+                                  "kind = suite:acceptance\n"))
+    assert cli.run_experiment(cfg, tmp_path / "out") == 2
+    assert capsys.readouterr().out.splitlines() == ["01_first: pass",
+                                                    "02_second: FAIL"]

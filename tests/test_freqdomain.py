@@ -149,9 +149,11 @@ def _bulk_operator(ctx, grid):
     A = pauli_matrices()
     nscalar = int(np.prod(grid.shape))
     L = ctx.tau * sp.identity(2 * nscalar, dtype=complex)
-    for j in range(3):
-        ratio = ctx.tau / (ctx.tau + ctx.profiles[j](grid.axes[j]))
-        L = L + sp.kron(fd._axis_operator(grid, j, ratio), A[j])
+    eyes = [sp.identity(n) for n in grid.shape]
+    for j, k in enumerate(fd._axis_factors(ctx, grid)):
+        facs = list(eyes)
+        facs[j] = k
+        L = L + sp.kron(sp.kron(sp.kron(facs[0], facs[1]), facs[2]), A[j])
     return L.tocsr()
 
 

@@ -6,8 +6,7 @@ import pytest
 from paulipml import geometry as geo
 from paulipml.errors import ContinuationError
 from paulipml.stretching import (_JET_OFFSETS, AbsorptionProfile,
-                                 StretchContext, continuation_threshold,
-                                 principal_sqrt)
+                                 StretchContext, principal_sqrt)
 
 
 def _ctx(tau=2.0 + 1.0j, sigma0=4.0):
@@ -256,16 +255,19 @@ def test_one_point_is_the_zero_dimensional_stack(unit_box):
     assert _ctx().m_matrix(none).shape == (0, 2, 2)
 
 
-def test_continuation_threshold(unit_box):
-    """Coefficients evaluate for every radius above the threshold."""
-    q = geo.RoundedBox(unit_box, 0.3)
-    profs = tuple(AbsorptionProfile(a=0.5, b=1.0, sigma0=4.0)
-                  for _ in range(3))
-    bp = geo.rounded_box_point(q, [0.93, 0.91, 0.2])
-    thr = continuation_threshold(profs, bp, direction=1.0 + 0.2j)
-    assert 0.0 <= thr < 1e4
-    for r in (2.0, 10.0):
-        ctx = StretchContext(max(thr, 1e-3) * r * (1.0 + 0.2j)
-                             / abs(1.0 + 0.2j), profs)
-        ctx.Phi_beta(bp)
-        ctx.m_matrix(bp)
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+@pytest.mark.parametrize("tau", [10.0 + 5.0j, 2.0 + 1.0j])
+def test_V_coefficients_stack_matches_pointwise(unit_box, n, tau):
+    """V on a stack of face, edge and corner samples has one (3,) row
+    per point, equal to the per-point value exactly."""
+    samples = geo.sample_boundary(geo.RoundedBox(unit_box, 0.3), density=10)
+    first = [np.flatnonzero(samples.kind == k) for k in (0, 1, 2)]
+    idx = [first[i % 3][i // 3] for i in range(n)]
+    stack = samples[np.array(idx)]
+    ctx = _ctx(tau=tau)
+    V = ctx.V_coefficients(stack.x, stack.nu)
+    assert V.shape == (n, 3)
+    for i in range(n):
+        assert np.array_equal(V[i],
+                              ctx.V_coefficients(stack.x[i], stack.nu[i]))
