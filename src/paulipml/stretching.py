@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import fixed_quad
 
 from .algebra import principal_sqrt
 from .errors import ContinuationError
@@ -32,6 +31,9 @@ __all__ = [
     "StretchContext",
     "principal_sqrt",
 ]
+
+# 48-point Gauss-Legendre rule on [-1, 1] for the smooth-bump antiderivative
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 
 
 @dataclass(frozen=True)
@@ -109,13 +111,10 @@ class AbsorptionProfile:
             mag = (self.sigma0 * (self.b - self.a) / (self.order + 1)
                    * t ** (self.order + 1))
         else:
-            mag = np.empty_like(s_flat)
-            for idx, ti in np.ndenumerate(t):
-                if ti <= 0:
-                    mag[idx] = 0.0
-                else:
-                    hi = self.a + ti * (self.b - self.a)
-                    mag[idx], _ = fixed_quad(self, self.a, hi, n=48)
+            # the rule on [a, a + t (b - a)], for all points at once
+            half = 0.5 * t[..., None] * (self.b - self.a)
+            mag = half[..., 0] * np.sum(
+                _GL_WEIGHTS * self(half * (_GL_NODES + 1.0) + self.a), axis=-1)
         out = np.sign(s_flat) * mag
         return float(out[0]) if scalar else out.reshape(s_arr.shape)
 
@@ -125,6 +124,16 @@ def _as_points(x) -> np.ndarray:
     if x.shape[-1] != 3:
         raise ValueError("x must have last dimension 3")
     return x
+
+
+def _volume_factor(r) -> np.ndarray:
+    """Pi = prod_j 1/r_j from the ratios r (..., 3)."""
+    return np.prod(1.0 / r, axis=-1)
+
+
+def _normalizer(r, nu) -> np.ndarray:
+    """(sum nu_j^2 r_j^2)^{1/2} from the ratios r, principal branch."""
+    return np.asarray(principal_sqrt(algebra.quadratic(np.asarray(nu) * r)))
 
 
 # Chart offsets of the stretched jet: the origin, then for each chart
@@ -180,8 +189,7 @@ class StretchContext:
 
     def Pi(self, x):
         """Volume factor prod_j (tau + sigma_j)/tau."""
-        r = self.ratios(x)
-        return np.prod(1.0 / r, axis=-1)
+        return _volume_factor(self.ratios(x))
 
     def p_coefficients(self, x) -> np.ndarray:
         """Divergence-form coefficients c_j = Pi * (tau/(tau+sigma_j))^2.
@@ -189,12 +197,8 @@ class StretchContext:
         Equivalently (tau+sigma_{j+1})(tau+sigma_{j+2})/(tau(tau+sigma_j)),
         indices mod 3.
         """
-        return self.Pi(x)[..., None] * self.ratios(x) ** 2
-
-    def _normalizer(self, x, nu) -> np.ndarray:
-        """(sum nu_j^2 r_j^2)^{1/2}, principal branch."""
-        return np.asarray(principal_sqrt(algebra.quadratic(
-            self.nu_tilde(x, nu))))
+        r = self.ratios(x)
+        return _volume_factor(r)[..., None] * r ** 2
 
     def V_coefficients(self, x, nu) -> np.ndarray:
         """Coefficient vectors (..., 3) of the transverse first-order
@@ -205,13 +209,14 @@ class StretchContext:
         with r_j = tau/(tau + sigma_j), at points x with conormals nu.
         Reduces to nu . grad when all sigmas vanish.
         """
-        return np.asarray(nu) * self.ratios(x) ** 2 \
-            / self._normalizer(x, nu)[..., None]
+        r = self.ratios(x)
+        return np.asarray(nu) * r ** 2 / _normalizer(r, nu)[..., None]
 
     def Phi(self, x, nu):
         """Boundary weight Phi = Pi (sum nu_j^2 r_j^2)^{1/2} at points x
         with conormals nu."""
-        return self.Pi(x) * self._normalizer(x, nu)
+        r = self.ratios(x)
+        return _volume_factor(r) * _normalizer(r, nu)
 
     def stretched_jet(self, points: BoundaryPoint):
         """First-order data of the stretched image surface at boundary

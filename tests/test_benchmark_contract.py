@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from paulipml import freqdomain
 from paulipml.geometry import BoxDomain
-from paulipml.timedomain import Grid, Recording, SimConfig
+from paulipml.stretching import StretchContext
+from paulipml.timedomain import Grid, Recording, SimConfig, gaussian_source
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -18,6 +20,12 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def spans(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     return importlib.import_module("spans")
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("workloads")
 
 
 def test_every_traced_name_resolves(spans):
@@ -37,3 +45,15 @@ def test_recording_and_config_keep_the_traced_fields():
     assert {"traces", "splits", "probe_values"} <= fields
     grid = Grid(BoxDomain((1.0, 1.0, 1.0)), (5, 5, 5))
     assert SimConfig(grid, lam=2.0).lam == 2.0
+
+
+def test_solve_meets_the_fd_sweep_gate(workloads):
+    """The tracer and fd_sweep read solve's (2, n1, n2, n3) field through
+    workloads.relative_residual and gate it at 1e-8."""
+    grid = Grid(workloads.box(), (7, 7, 7))
+    ctx = StretchContext(2.0 + 8.0j, workloads.profiles())
+    F = gaussian_source(grid, width=0.15 * workloads.HALF).spatial
+    op = freqdomain.assemble_stretched(ctx, grid, F)
+    u = freqdomain.solve(op)
+    assert u.shape == (2, 7, 7, 7)
+    assert workloads.relative_residual(op, u) <= 1e-8

@@ -20,8 +20,9 @@ def _order(hs, errs):
 
 
 def _setup(n=13, tau=2.0 + 1.0j, sigma0=1.0):
+    """n is the node count per axis, or a tuple of three."""
     box = BoxDomain((1.0, 1.0, 1.0), inner_fraction=0.5)
-    grid = Grid(box, (n, n, n))
+    grid = Grid(box, n if isinstance(n, tuple) else (n, n, n))
     profs = tuple(AbsorptionProfile(a=0.5, b=1.0, sigma0=sigma0)
                   for _ in range(3))
     return grid, StretchContext(tau, profs)
@@ -157,30 +158,65 @@ def _bulk_operator(ctx, grid):
     return L.tocsr()
 
 
-@pytest.mark.parametrize("sigma0", [0.0, 1.0, 4.0])
-@pytest.mark.parametrize("tau", [2.0 + 1.0j, 4.0 - 4.0j, 2.0 + 8.0j])
-def test_bulk_inverse_is_exact(sigma0, tau, rng):
-    """The Schur-factored preconditioner inverts the bulk operator to
-    roundoff, including the near-defective sigma = 0 case."""
-    grid, ctx = _setup(9, tau=tau, sigma0=sigma0)
-    op = fd.assemble_stretched(ctx, grid, np.zeros((2, 9, 9, 9)))
+def _check_bulk_inverse(n, sigma0, tau, rng):
+    grid, ctx = _setup(n, tau=tau, sigma0=sigma0)
+    op = fd.assemble_stretched(ctx, grid, np.zeros((2,) + grid.shape))
     v = (rng.standard_normal(op.matrix.shape[0])
          + 1j * rng.standard_normal(op.matrix.shape[0]))
     back = fd._bulk_inverse(op)(_bulk_operator(ctx, grid) @ v)
     assert np.linalg.norm(back - v) <= 1e-8 * np.linalg.norm(v)
 
 
+@pytest.mark.parametrize("sigma0", [0.0, 1.0, 4.0])
+@pytest.mark.parametrize("tau", [2.0 + 1.0j, 4.0 - 4.0j, 2.0 + 8.0j])
+def test_bulk_inverse_is_exact(sigma0, tau, rng):
+    """The Schur-factored preconditioner inverts the bulk operator to
+    roundoff, including the near-defective sigma = 0 case."""
+    _check_bulk_inverse(9, sigma0, tau, rng)
+
+
+def test_bulk_inverse_is_exact_non_cubic(rng):
+    """Three different axis lengths, so that a product applied along
+    the wrong axis cannot pass."""
+    _check_bulk_inverse((7, 8, 9), 1.0, 2.0 + 1.0j, rng)
+
+
 @pytest.mark.parametrize("n, sigma0, tau", [
     (7, 1.0, 2.0 + 1.0j), (9, 1.0, 2.0 + 1.0j),
-    (7, 0.0, 3.0 + 1.0j), (9, 0.0, 3.0 + 1.0j)])
+    (7, 0.0, 3.0 + 1.0j), (9, 0.0, 3.0 + 1.0j),
+    (7, 4.0, 2.0 + 8.0j), (9, 4.0, 2.0 + 8.0j), (9, 0.0, 2.0 + 8.0j),
+    pytest.param((7, 8, 9), 4.0, 2.0 + 8.0j, id="7x8x9-4.0-(2+8j)")])
 def test_solve_matches_sparse_lu(n, sigma0, tau):
-    """The preconditioned GMRES solve agrees with a sparse LU solve of
+    """The boundary-reduced GMRES solve agrees with a sparse LU solve of
     the same assembled system."""
     grid, ctx = _setup(n, tau=tau, sigma0=sigma0)
     op = fd.assemble_stretched(ctx, grid, _bump_source(grid))
-    u = fd.solve(op).transpose(1, 2, 3, 0).ravel()
+    u = fd.solve(op)
+    assert u.shape == (2,) + grid.shape
+    u = u.transpose(1, 2, 3, 0).ravel()
     ref = spla.splu(op.matrix).solve(op.rhs)
     assert np.linalg.norm(u - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+def test_interior_right_side_needs_no_krylov(monkeypatch, rng):
+    """A M^-1 is the identity in the interior rows: for b = A M^-1 y
+    with y zero on the face nodes, the boundary right side GMRES would
+    get is zero, and the solve is M^-1 y without any iteration."""
+    grid, ctx = _setup(7, tau=2.0 + 8.0j, sigma0=4.0)
+    op = fd.assemble_stretched(ctx, grid, np.zeros((2, 7, 7, 7)))
+    bdry = np.repeat(fd._face_count(grid.shape).ravel() > 0, 2)
+    y = rng.standard_normal(bdry.size) + 1j * rng.standard_normal(bdry.size)
+    y[bdry] = 0.0
+    minv = fd._bulk_inverse(op)
+    op.rhs = op.matrix @ minv(y)
+    assert np.linalg.norm(op.rhs[~bdry] - y[~bdry]) \
+        <= 1e-12 * np.linalg.norm(y)
+
+    def no_gmres(*args, **kw):
+        raise AssertionError("GMRES called")
+    monkeypatch.setattr(fd.spla, "gmres", no_gmres)
+    u = fd.solve(op).transpose(1, 2, 3, 0).ravel()
+    assert np.linalg.norm(u - minv(y)) <= 1e-12 * np.linalg.norm(u)
 
 
 def test_gmres_failure_is_typed(monkeypatch):

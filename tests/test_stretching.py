@@ -1,5 +1,8 @@
 """Stretched-coordinate coefficients against closed-form oracles."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,14 @@ def test_principal_sqrt_branch():
                           np.sqrt(np.array([[4.0, -4.0 + 1e-3j]])))
     with pytest.raises(ContinuationError):
         principal_sqrt(np.array([4.0, 2j, -1.0]))
+
+
+def test_import_leaves_out_scipy_integrate():
+    code = ("import sys, paulipml; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestAbsorptionProfile:
@@ -63,6 +74,28 @@ class TestAbsorptionProfile:
                 gs = grid[grid <= abs(s) + 1e-12]
                 want = np.sign(s) * np.trapezoid(p(gs), gs)
                 assert p.antiderivative(s) == pytest.approx(want, abs=1e-6)
+
+    def test_smooth_antiderivative_matches_fixed_quad(self):
+        """The vectorized 48-point rule gives scipy's fixed_quad values
+        for scalar, stacked, negative and |s| > b arguments."""
+        from scipy.integrate import fixed_quad
+        p = AbsorptionProfile(a=0.5, b=1.0, sigma0=4.0, kind="smooth_bump")
+
+        def ref(s):
+            hi = min(abs(s), p.b)
+            if hi <= p.a:
+                return 0.0
+            return np.sign(s) * fixed_quad(p, p.a, hi, n=48)[0]
+
+        for s in (0.3, 0.7, 1.0, -0.8, 1.4, -2.0):
+            got = p.antiderivative(s)
+            assert isinstance(got, float)
+            assert abs(got - ref(s)) <= 1e-14
+        stack = np.linspace(-1.3, 1.3, 24).reshape(2, 3, 4)
+        got = p.antiderivative(stack)
+        assert got.shape == stack.shape
+        want = np.vectorize(ref)(stack)
+        assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_validation(self):
         with pytest.raises(ValueError):
