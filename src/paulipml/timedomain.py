@@ -8,9 +8,18 @@ with the dissipative condition that the trace s = U1 + U2 + U3 belongs
 to the outgoing eigenspace of A(nu) on every face of the box.  Space is
 discretized by 4th-order finite differences on a collocated grid, time
 by the classical 4-stage Runge-Kutta method with the boundary projection
-applied after every step.  The module also provides probe/snapshot
-recording, exponentially weighted space-time norms, and the truncated
-Laplace transform of the trace.
+applied after every step.  The split operator L does not depend on time
+and the source enters as env(t) f_j, so each step is taken as four
+nested Horner levels z <- y + c (L z + e f), z = y at the start, with
+(c, e) from the inside out
+
+    (dt/4, f0), (dt/3, (f0 + fm)/2), (dt/2, (f0 + 2 fm)/3),
+    (dt, (f0 + 4 fm + f1)/6),
+
+f0, fm, f1 the envelopes at t, t + dt/2, t + dt; this equals the staged
+y + dt/6 (k1 + 2 k2 + 2 k3 + k4) exactly.  The module also provides
+probe/snapshot recording, exponentially weighted space-time norms, and
+the truncated Laplace transform of the trace.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import dctn, idctn
+from scipy.linalg.blas import get_blas_funcs
 
 from .errors import StabilityError, TruncationWarning
 from .geometry import BoxDomain, faces
@@ -146,9 +155,7 @@ class SourceSpec:
         return 0 <= t <= self.t_off
 
     def __call__(self, t: float) -> np.ndarray:
-        if not self.active(t):
-            return np.zeros_like(self.spatial)
-        return self.envelope(t) * self.spatial
+        return _envelope(self, t) * self.spatial
 
 
 def gaussian_source(grid: Grid, width: float = 0.1, center=(0.0, 0.0, 0.0),
@@ -196,15 +203,20 @@ class SimConfig:
 
 # -- the fused split-field kernel ---------------------------------------
 
-# 4th-order one-sided closures for the first two rows, times 12, as the
-# (5, 2) matrices that map the five end nodes to the two end rows; the
-# interior stencil, times 12, is (1, -8, 0, 8, -1).
-_EDGE4 = np.array([
+# 4th-order one-sided closures for the first two rows, times 12: the
+# (2, 5) matrices that map the five end nodes to the two end rows; the
+# interior stencil, times 12, is (1, -8, 0, 8, -1).  Along the last
+# axis of a float view a node is a group of `width` floats (re, im for a
+# complex field), so there the closures are the Kronecker products with
+# eye(width), applied from the right.
+_EDGE_LOW = np.array([
     [-25.0, 48.0, -36.0, 16.0, -3.0],
     [-3.0, -10.0, 18.0, -6.0, 1.0],
 ])
-_CLOSE_LOW = _EDGE4.T.copy()
-_CLOSE_HIGH = -_EDGE4[::-1, ::-1].T.copy()
+_EDGE_HIGH = -_EDGE_LOW[::-1, ::-1].copy()
+_EDGE_LAST = {width: (np.kron(_EDGE_LOW.T, np.eye(width)),
+                      np.kron(_EDGE_HIGH.T, np.eye(width)))
+              for width in (1, 2)}
 
 # A_j acting on a spinor v, one row per output component a:
 # (A_j v)_a = factor * v[source], stored as (source, factor).
@@ -221,15 +233,15 @@ def diff4(f: np.ndarray, axis: int, h: float, out: np.ndarray | None = None,
     4th-order one-sided within two cells of the ends.
 
     The result is written to ``out`` when given (C-contiguous, f's
-    shape, not overlapping f), and nothing else is allocated.
+    shape and dtype, not overlapping f), and nothing else is allocated.
     ``scaled=False`` leaves out the factor 1/(12 h), for callers that
     fold it into their own coefficients.
     """
     f = np.ascontiguousarray(f)
     if out is None:
         out = np.empty_like(f)
-    elif not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
+    elif not out.flags.c_contiguous or out.dtype != f.dtype:
+        raise ValueError("out must be C-contiguous with f's dtype")
     axis %= f.ndim
     # Interior on the flat arrays: one node along `axis` is `step`
     # elements.  The two end rows on each side pick up wrong neighbours
@@ -238,13 +250,23 @@ def diff4(f: np.ndarray, axis: int, h: float, out: np.ndarray | None = None,
     g, o = f.reshape(-1), out.reshape(-1)
     size = g.size
     inner = o[2 * step:size - 2 * step]
-    np.subtract(g[3 * step:size - step], g[step:size - 3 * step], out=inner)
-    inner *= 8.0
-    inner += g[:size - 4 * step]
-    inner -= g[4 * step:]
-    g, o = np.moveaxis(f, axis, -1), np.moveaxis(out, axis, -1)
-    np.matmul(g[..., :5], _CLOSE_LOW, out=o[..., :2])
-    np.matmul(g[..., -5:], _CLOSE_HIGH, out=o[..., -2:])
+    axpy = get_blas_funcs("axpy", (g,))
+    np.subtract(g[:size - 4 * step], g[4 * step:], out=inner)
+    axpy(g[3 * step:size - step], inner, a=8.0)
+    axpy(g[step:size - 3 * step], inner, a=-8.0)
+    # End rows: the closures are real, so they act on the float view,
+    # whose last axis interleaves re and im when f is complex.
+    width = 2 if np.iscomplexobj(f) else 1
+    g, o = f.view(f.real.dtype), out.view(f.real.dtype)
+    if axis < f.ndim - 1:
+        g, o = (a.reshape(-1, f.shape[axis], width * step) for a in (g, o))
+        np.matmul(_EDGE_LOW, g[:, :5], out=o[:, :2])
+        np.matmul(_EDGE_HIGH, g[:, -5:], out=o[:, -2:])
+    else:
+        g, o = (a.reshape(-1, a.shape[-1]) for a in (g, o))
+        low, high = _EDGE_LAST[width]
+        np.matmul(g[:, :5 * width], low, out=o[:, :2 * width])
+        np.matmul(g[:, -5 * width:], high, out=o[:, -2 * width:])
     if scaled:
         out *= 1.0 / (12.0 * h)
     return out
@@ -253,13 +275,14 @@ def diff4(f: np.ndarray, axis: int, h: float, out: np.ndarray | None = None,
 class Workspace:
     """Everything the kernel would otherwise rebuild per call: the
     absorption on each axis, the folded coefficients of -A_j d_j, and
-    the state, stage and scratch buffers.  ``run`` builds one and passes
-    it to every ``step``; a bare ``rhs`` or ``step`` builds its own.
+    the state and scratch buffers.  ``run`` builds one and passes it to
+    every ``step``; a bare ``rhs`` or ``step`` builds its own.
 
     ``coef[j]`` holds one (source, factor) pair per output component,
     the factor being -(A_j)_{a,source} / (12 h_j).  ``sigma[j]`` is
     sigma_j at the nodes, shaped to broadcast against one split field,
-    or None where sigma_j vanishes on the whole axis.
+    or None where sigma_j vanishes on the whole axis.  ``states`` are the
+    three buffers that the Horner levels of ``step`` rotate through.
     """
 
     def __init__(self, grid: Grid, profiles):
@@ -272,44 +295,65 @@ class Workspace:
             along = [1, 1, 1]
             along[j] = len(x)
             self.sigma.append(sig.reshape(along) if sig.any() else None)
-        self.states = (np.empty(shape, complex), np.empty(shape, complex))
-        self.stage = np.empty(shape, complex)
-        self.k = np.empty(shape, complex)
+        self.states = tuple(np.empty(shape, complex) for _ in range(3))
         self.trace = np.empty(shape[1:], complex)
         self.scratch = np.empty(shape[1:], complex)
 
 
+def _envelope(source: SourceSpec | None, t: float) -> float:
+    """The source's time factor at t, 0 where the source is off."""
+    if source is None or not source.active(t):
+        return 0.0
+    return source.envelope(t)
+
+
 def rhs(state: SplitState, profiles, source: SourceSpec | None,
         t: float, grid: Grid, work: Workspace | None = None,
-        out: np.ndarray | None = None) -> np.ndarray:
-    """Time derivative of the three split fields,
+        out: np.ndarray | None = None, scale: float = 1.0,
+        base: np.ndarray | None = None,
+        env: float | None = None) -> np.ndarray:
+    """One level of the split operator,
 
-        d_t U^j = -sigma_j U^j - A_j d_j s + f_j,  s the trace,
+        out_j = base_j + scale (-sigma_j U^j - A_j d_j s + env f_j),
 
-    written to ``out`` (default: the workspace's ``k`` buffer, so a bare
-    call returns a fresh array).  A source that is off at t adds
-    nothing.
+    s the trace and f_j = w_j times the source's spatial profile.  With
+    the defaults (no base, scale 1, env the source envelope at t, 0
+    where the source is off) this is the time derivative d_t U^j.
+
+    The result is written to ``out`` (default: a fresh array), which
+    must be C-contiguous and overlap neither U nor ``base``.  Each split field is formed
+    from base and the absorption term, then the derivative and source
+    terms are added by BLAS axpy on the flat arrays.
     """
     if work is None:
         work = Workspace(grid, profiles)
-    if out is None:
-        out = work.k
     U = state.U
+    if out is None:
+        out = np.empty_like(U)
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    if env is None:
+        env = _envelope(source, t)
     s = np.add(U[0], U[1], out=work.trace)
     s += U[2]
+    axpy = get_blas_funcs("axpy", (out,))
     h = grid.spacing
     for j in range(3):
+        o = out[j]
+        if work.sigma[j] is not None:
+            np.multiply(U[j], -scale * work.sigma[j], out=o)
+            if base is not None:
+                axpy(base[j].reshape(-1), o.reshape(-1))
+        elif base is not None:
+            np.copyto(o, base[j])
+        else:
+            o.fill(0.0)
         d = diff4(s, j + 1, h[j], out=work.scratch, scaled=False)
         for a, (b, c) in enumerate(work.coef[j]):
-            np.multiply(d[b], c, out=out[j, a])
-        if work.sigma[j] is not None:
-            out[j] -= np.multiply(U[j], work.sigma[j], out=work.scratch)
-    if source is not None and source.active(t):
-        env = source.envelope(t)
-        for j in range(3):
-            np.multiply(source.spatial, source.weights[j] * env,
-                        out=work.scratch)
-            out[j] += work.scratch
+            axpy(d[b].reshape(-1), o[a].reshape(-1), a=scale * c)
+        if env:
+            axpy(source.spatial.reshape(-1), o.reshape(-1),
+                 a=scale * env * source.weights[j])
     return out
 
 
@@ -344,39 +388,48 @@ def step(state: SplitState, profiles, source: SourceSpec | None,
     projection is observed stable over tens of transit times.  Raises
     StabilityError past the overflow guard.
 
-    ``state`` is left untouched.  The new state is accumulated in
-    whichever of the workspace's two state buffers does not hold
-    ``state.U``, so successive steps alternate between them; without a
+    The split operator L (absorption and -A_j d_j s) does not depend on
+    time and the source enters as env(t) f_j, so the step is a
+    polynomial in dt L.  It is evaluated as four Horner levels, each
+    one ``rhs`` call
+
+        z <- y + c (L z + e f),   z = y at the start,
+
+    with (c, e) from the inside out
+
+        (dt/4, f0), (dt/3, (f0 + fm)/2), (dt/2, (f0 + 2 fm)/3),
+        (dt, (f0 + 4 fm + f1)/6),
+
+    f0, fm, f1 the envelopes at t, t + dt/2, t + dt (0 where the
+    source is off).  Expanding the stages shows that the last level is
+    y + dt/6 (k1 + 2 k2 + 2 k3 + k4) exactly: with no source it is
+    y + dt L (y + dt/2 L (y + dt/3 L (y + dt/4 L y))), and the e are
+    the source terms of k1..k4 gathered by their power of dt L.
+
+    ``state`` is left untouched.  The levels alternate between the two
+    of the workspace's three state buffers that do not hold
+    ``state.U``, so successive steps rotate through them; without a
     workspace the result is a fresh array.
     """
     if work is None:
         work = Workspace(grid, profiles)
     t = state.t
     y = state.U
-    acc = work.states[1] if y is work.states[0] else work.states[0]
-    yk = work.stage
-
-    # acc = k1 + 2 k2 + 2 k3 + k4, each stage folded in once the next
-    # stage input y + frac dt k has been formed from it
-    k = rhs(state, profiles, source, t, grid, work=work, out=acc)
-    for frac, weight in ((0.5, 0.0), (0.5, 2.0), (1.0, 2.0)):
-        np.multiply(k, frac * dt, out=yk)
-        yk += y
-        if weight:
-            k *= weight
-            acc += k
-        k = rhs(SplitState(yk, t + frac * dt), profiles, source,
-                t + frac * dt, grid, work=work)
-    acc += k
-    acc *= dt / 6.0
-    acc += y
-    out = apply_boundary(SplitState(acc, t + dt), grid)
+    bufs = [buf for buf in work.states if buf is not y]
+    f0, fm, f1 = (_envelope(source, t + frac * dt) for frac in (0, 0.5, 1))
+    levels = ((dt / 4, f0), (dt / 3, (f0 + fm) / 2),
+              (dt / 2, (f0 + 2 * fm) / 3), (dt, (f0 + 4 * fm + f1) / 6))
+    z = y
+    for i, (c, e) in enumerate(levels):
+        z = rhs(SplitState(z, t), profiles, source, t, grid, work=work,
+                out=bufs[i % 2], scale=c, base=y, env=e)
+    out = apply_boundary(SplitState(z, t + dt), grid)
     # max |U| lies in [r, sqrt(2) r], r the largest |Re| or |Im|, so the
     # exact magnitude is needed only when sqrt(2) r reaches the guard
-    parts = acc.view(float)
+    parts = z.view(float)
     r = max(parts.max(), -parts.min())
     if not r * np.sqrt(2.0) <= _OVERFLOW_GUARD:
-        m = float(np.max(np.abs(acc)))
+        m = float(np.max(np.abs(z)))
         if not np.isfinite(m) or m > _OVERFLOW_GUARD:
             raise StabilityError(f"field magnitude {m:.3g} "
                                  f"at t = {out.t:.4g}")
@@ -460,6 +513,8 @@ def _boundary_norm_sq(grid: Grid, s: np.ndarray) -> float:
 def _inv_sqrt_helmholtz(grid: Grid, g: np.ndarray) -> np.ndarray:
     """(I - Laplacian_h)^{-1/2} g via the cosine transform that
     diagonalizes the 3-point Neumann Laplacian on each axis."""
+    from scipy.fft import dctn, idctn  # only this term needs scipy.fft
+
     h = grid.spacing
     eig = 1.0
     for j, n in enumerate(grid.shape):
@@ -558,9 +613,11 @@ def laplace_of_trace(rec: Recording, tau: complex) -> np.ndarray:
     """
     times = np.asarray(rec.times)
     w = _simpson_weights(times)
-    out = np.zeros_like(rec.traces[0])
+    out = np.zeros(rec.traces[0].shape, np.result_type(rec.traces[0], tau))
+    axpy = get_blas_funcs("axpy", (out,))
+    flat = out.reshape(-1)
     for wi, t, s in zip(w, times, rec.traces):
-        out += wi * np.exp(-tau * t) * s
+        axpy(s.reshape(-1), flat, a=wi * np.exp(-tau * t))
     grid = rec.grid
     tail = (abs(np.exp(-tau * times[-1])) * grid.norm(rec.traces[-1])
             / max(tau.real if isinstance(tau, complex) else tau, 1e-30))

@@ -164,10 +164,35 @@ def test_fused_rhs_matches_reference(skew_setup, t):
         assert _rel(got, want) < 1e-13
 
 
+def test_rhs_rejects_a_strided_out(skew_setup):
+    """rhs adds into flat views of ``out``; a strided buffer would take
+    the sums in a copy, so it is refused."""
+    grid, profiles, source, U = skew_setup
+    out = np.empty(U.shape[:-1] + (2 * U.shape[-1],), complex)[..., ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        td.rhs(td.SplitState(U, 0.3), profiles, source, 0.3, grid, out=out)
+
+
 def test_fused_steps_match_reference(skew_setup):
     """Eight steps through one workspace, as run takes them, across the
     source switch-off at t = 0.5."""
+    _check_fused_steps(*skew_setup)
+
+
+@pytest.mark.parametrize("zero_axis", [0, 1, 2])
+def test_fused_steps_match_reference_with_a_zero_axis(skew_setup,
+                                                       zero_axis):
+    """The same eight steps where sigma vanishes on one axis, so the
+    level copies y for that split field instead of scaling it."""
     grid, profiles, source, U = skew_setup
+    profiles = list(profiles)
+    profiles[zero_axis] = AbsorptionProfile.zero(grid.box.h[zero_axis])
+    work = td.Workspace(grid, profiles)
+    assert work.sigma[zero_axis] is None
+    _check_fused_steps(grid, tuple(profiles), source, U)
+
+
+def _check_fused_steps(grid, profiles, source, U):
     dt = 0.1
     work = td.Workspace(grid, profiles)
     state = td.SplitState(U.copy(), 0.0)
