@@ -129,6 +129,21 @@ class RoundedBox:
         inside = np.minimum(np.max(d, axis=-1), 0.0)
         return outside + inside - self.radius
 
+    def normal(self, x) -> np.ndarray:
+        """Outward unit normal at the boundary point nearest to x (...,
+        3), so constant along normal lines, at any x: the normal of the
+        shrunk box's nearest face where x is beyond it along at most one
+        axis, else d/|d| for the offset d of x from the shrunk box."""
+        x = np.asarray(x, dtype=float)
+        d = x - np.clip(x, -self.core_h, self.core_h)
+        nrm = _norm(d)[..., None]
+        axis = np.argmin(self.core_h - np.abs(x), axis=-1)
+        sign = np.where(np.take_along_axis(x, axis[..., None], -1) >= 0,
+                        1.0, -1.0)
+        face = np.count_nonzero(np.abs(x) > self.core_h, axis=-1) <= 1
+        return np.where(face[..., None], sign * _EYE[axis],
+                        d / np.where(nrm > 0, nrm, 1.0))
+
 
 @dataclass(frozen=True, eq=False)
 class BoundaryPoint:
@@ -230,19 +245,13 @@ def rounded_box_point(q: RoundedBox, x) -> BoundaryPoint:
         raise GeometryError(
             f"a point is {worst:.3g} from the boundary; "
             "projection would be ambiguous")
-    c = np.clip(x, -q.core_h, q.core_h)
-    d = x - c
     kind = np.maximum(np.count_nonzero(np.abs(x) > q.core_h, axis=-1) - 1, 0)
-    # faces: the nearest face of the shrunk box decides
-    axis = np.argmin(q.core_h - np.abs(x), axis=-1)
-    sign = np.where(np.take_along_axis(x, axis[..., None], -1) >= 0,
-                    1.0, -1.0)
-    face_x = np.where(_EYE[axis] == 1.0, sign * q.parent.h, x)
-    nrm = _norm(d)[..., None]
-    nu = d / np.where(nrm > 0, nrm, 1.0)
-    face = (kind == 0)[..., None]
-    return BoundaryPoint(np.where(face, face_x, c + r * nu),
-                         np.where(face, sign * _EYE[axis], nu), kind, q)
+    nu = q.normal(x)
+    # a face point keeps its tangential coordinates
+    face_x = np.where(nu != 0.0, nu * q.parent.h, x)
+    return BoundaryPoint(
+        np.where((kind == 0)[..., None], face_x,
+                 np.clip(x, -q.core_h, q.core_h) + r * nu), nu, kind, q)
 
 
 def rounded_box_area(q: RoundedBox) -> float:

@@ -324,11 +324,45 @@ class TrigField:
 
 
 def _fd_partial(fun, x, j, h):
-    """4th-order central derivative of fun: R^3 -> C^m along axis j."""
+    """4th-order central derivative of fun: R^3 -> C^m along axis j, at
+    points x (..., 3)."""
     e = np.zeros(3)
     e[j] = h
     return (fun(x - 2 * e) - 8 * fun(x - e)
             + 8 * fun(x + e) - fun(x + 2 * e)) / (12 * h)
+
+
+def _act(M, v):
+    """Per-point matrices M (..., m, n) applied to vectors v (..., n)."""
+    return np.einsum("...ij,...j->...i", M, v)
+
+
+def _ladder(residual, steps, wrong):
+    """The step ladder of an identity check.  ``residual(h, k)`` gives
+    the discrepancy at each sample point for step h, with the term that
+    the negative control perturbs scaled by k.  Returns the worst
+    discrepancy per step, their observed order, and the worst control
+    discrepancy: k = ``wrong`` at the last step.  ``np.max`` keeps a
+    NaN."""
+    vals = [float(np.max(residual(h, 1.0), initial=0.0)) for h in steps]
+    control = float(np.max(residual(steps[-1], wrong), initial=0.0))
+    return vals, fit_order(vals, steps[0] / steps[1]), control
+
+
+def _identity_report(name, params, ladder, order_min):
+    """The report of a one-ladder identity check: it passes when the
+    observed order reaches order_min and the control stays more than
+    ten times the last discrepancy."""
+    vals, order, control = ladder
+    return CheckReport(
+        name, params=params,
+        measured={"discrepancy": vals[-1], "per_step": vals,
+                  "negative_control": control,
+                  "control_ratio": control / max(vals[-1], 1e-300)},
+        orders={"observed": order},
+        criteria=_criteria(
+            f"order_min: orders.observed >= {order_min} scalable",
+            "control: measured.control_ratio > 10 fixed"))
 
 
 # -- stretched Helmholtz identity --------------------------------------
@@ -345,72 +379,79 @@ def check_helmholtz_identity(ctx: StretchContext, n_samples: int = 10,
     closed forms), so the two sides are computed through genuinely
     independent code paths and the discrepancy is pure FD truncation.
     Sample points keep a safety margin from the profile seams (where a
-    polynomial bump is only finitely smooth) and from the faces.
+    polynomial bump is only finitely smooth) and from the faces; a
+    ValueError says when no point can.
     """
     rng = np.random.default_rng(seed)
     w = TrigField(seed=seed + 1)
     A = algebra.pauli_matrices()
     tau = ctx.tau
     margin = 4.0 * max(steps) + 0.02
-
-    def admissible(x):
-        for j, p in enumerate(ctx.profiles):
-            if abs(abs(x[j]) - p.a) < margin or abs(x[j]) > p.b - margin:
-                return False
-        return True
-
-    pts = []
+    a = np.array([p.a for p in ctx.profiles])
+    b = np.array([p.b for p in ctx.profiles])
+    # |x_j| ranges over [0, b_j - margin] less (a_j - margin, a_j + margin)
+    if not np.all((a > margin) | (a + 2 * margin < b)):
+        raise ValueError(f"no interior point keeps margin {margin} from "
+                         "every profile seam and face")
+    pts = np.empty((0, 3))
     while len(pts) < n_samples:
-        x = np.array([rng.uniform(-p.b, p.b) for p in ctx.profiles])
-        if admissible(x):
-            pts.append(x)
+        x = rng.uniform(-b, b, size=(n_samples, 3))
+        ok = (np.abs(np.abs(x) - a) >= margin) & (np.abs(x) <= b - margin)
+        pts = np.concatenate([pts, x[np.all(ok, axis=-1)]])
+    pts = pts[:n_samples]
 
     def apply_L(sgn, fun, x, h):
         val = sgn * tau * fun(x)
         r = ctx.ratios(x)
         for j in range(3):
-            val = val + r[j] * (A[j] @ _fd_partial(fun, x, j, h))
+            val = val + r[..., j, None] * (_fd_partial(fun, x, j, h)
+                                           @ A[j].T)
         return val
 
-    def divergence_side(x, fudge):
-        """(p - tau^2 Pi) w analytically; dc_j/dx_j has the closed form
-        -sigma_j' c_j r_j / tau."""
-        c = ctx.p_coefficients(x)
-        r = ctx.ratios(x)
-        val = -tau ** 2 * complex(ctx.Pi(x)) * w(x)
-        for j in range(3):
-            dcj = -ctx.profiles[j].derivative(x[j]) * c[j] * r[j] / tau
-            val = val + fudge * (dcj * w.partial(j, x)
-                                 + c[j] * w.partial2(j, x))
-        return val
+    # (p - tau^2 Pi) w analytically; dc_j/dx_j has the closed form
+    # -sigma_j' c_j r_j / tau
+    c = ctx.p_coefficients(pts)
+    r = ctx.ratios(pts)
+    Pi = ctx.Pi(pts)[..., None]
+    mass = -tau ** 2 * Pi * w(pts)
+    div = sum((-ctx.profiles[j].derivative(pts[:, j]) * c[:, j] * r[:, j]
+               / tau)[:, None] * w.partial(j, pts)
+              + c[:, j, None] * w.partial2(j, pts) for j in range(3))
 
-    def discrepancy(h, fudge=1.0):
-        worst = 0.0
-        for x in pts:
-            inner = lambda y: apply_L(+1, w, y, h)
-            lhs = complex(ctx.Pi(x)) * apply_L(-1, inner, x, h)
-            rhs = divergence_side(x, fudge)
-            scale = max(np.max(np.abs(rhs)), 1.0)
-            worst = _worse(worst, np.max(np.abs(lhs - rhs)) / scale)
-        return worst
+    def residual(h, fudge):
+        lhs = Pi * apply_L(-1, lambda y: apply_L(+1, w, y, h), pts, h)
+        rhs = mass + fudge * div
+        scale = np.maximum(np.max(np.abs(rhs), axis=-1), 1.0)
+        return np.max(np.abs(lhs - rhs), axis=-1) / scale
 
-    vals = [discrepancy(h) for h in steps]
-    order = fit_order(vals)
-    control = discrepancy(steps[-1], fudge=1.01)
-    return CheckReport(
+    return _identity_report(
         "helmholtz_identity",
-        params={"tau": tau, "n_samples": n_samples, "seed": seed,
-                "steps": list(steps)},
-        measured={"discrepancy": vals[-1], "per_step": vals,
-                  "negative_control": control,
-                  "control_ratio": control / max(vals[-1], 1e-300)},
-        orders={"observed": order},
-        criteria=_criteria("order_min: orders.observed >= 3.5 scalable",
-                           "control: measured.control_ratio > 10 fixed"),
-    )
+        {"tau": tau, "n_samples": n_samples, "seed": seed,
+         "steps": list(steps)}, _ladder(residual, steps, 1.01), 3.5)
 
 
 # -- Neumann identity ---------------------------------------------------
+
+def _boundary_residual(u, x0, nu, H, r, v):
+    """residual(h, k) of the boundary identity
+
+        pi^+(nu) sum_j r_j A_j d_j u = pi^+(nu) (sum_j v_j d_j + k H) u
+
+    at the points x0, relative to max(|u|, 1), for _ladder."""
+    A = algebra.pauli_matrices()
+    pip = algebra.projector(+1, nu)
+    u0 = u(x0)
+    scale = np.maximum(np.linalg.norm(u0, axis=-1), 1.0)
+
+    def residual(h, k):
+        grads = [_fd_partial(u, x0, j, h) for j in range(3)]
+        lhs = _act(pip, sum(r[:, j, None] * (grads[j] @ A[j].T)
+                            for j in range(3)))
+        rhs = _act(pip, sum(v[:, j, None] * grads[j] for j in range(3))
+                   + k * H[:, None] * u0)
+        return np.linalg.norm(lhs - rhs, axis=-1) / scale
+    return residual
+
 
 def _seam_clear(bp: BoundaryPoint, q: RoundedBox, margin: float):
     """True where bp sits well inside its smooth boundary patch: along
@@ -449,64 +490,30 @@ def check_neumann_identity(surface: str = "sphere", n_points: int = 15,
     """
     rng = np.random.default_rng(seed)
     w = TrigField(seed=seed + 1)
-    A = algebra.pauli_matrices()
-
     if surface == "sphere":
         dirs = rng.standard_normal((n_points, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        points = [(radius * d, 1.0 / radius) for d in dirs]
+        x0, H = radius * dirs, np.full(n_points, 1.0 / radius)
 
         def nu_ext(y):
-            return y / np.linalg.norm(y)
+            return y / np.linalg.norm(y, axis=-1, keepdims=True)
     elif surface == "rounded_box":
-        box = BoxDomain((1.0, 1.0, 1.0))
-        q = RoundedBox(box, delta)
+        q = RoundedBox(BoxDomain((1.0, 1.0, 1.0)), delta)
         bps = _sample_patch_points(q, n_points, seed)
-        points = list(zip(bps.x, bps.H))
-
-        def nu_ext(y, q=q):
-            d = y - np.clip(y, -q.core_h, q.core_h)
-            n = np.linalg.norm(d)
-            if n < 1e-12:
-                gaps = q.core_h - np.abs(y)
-                axis = int(np.argmin(gaps))
-                e = np.zeros(3)
-                e[axis] = 1.0 if y[axis] >= 0 else -1.0
-                return e
-            return d / n
+        x0, H, nu_ext = bps.x, bps.H, q.normal
     else:
         raise ValueError(f"unknown surface {surface!r}")
 
     def u_field(y):
-        return algebra.projector(+1, nu_ext(y)) @ w(y)
+        return _act(algebra.projector(+1, nu_ext(y)), w(y))
 
-    def discrepancy(h, curv_factor=1.0):
-        worst = 0.0
-        for x0, H in points:
-            nu0 = nu_ext(x0)
-            pip = algebra.projector(+1, nu0)
-            grads = [_fd_partial(u_field, x0, j, h) for j in range(3)]
-            lhs = pip @ sum(A[j] @ grads[j] for j in range(3))
-            normal_d = sum(nu0[j] * grads[j] for j in range(3))
-            rhs = pip @ (normal_d + curv_factor * H * u_field(x0))
-            scale = max(np.linalg.norm(u_field(x0)), 1.0)
-            worst = _worse(worst, np.linalg.norm(lhs - rhs) / scale)
-        return worst
-
-    vals = [discrepancy(h) for h in steps]
-    order = fit_order(vals, factor=steps[0] / steps[1])
-    control = discrepancy(steps[-1], curv_factor=2.0)
-    return CheckReport(
+    nu0 = nu_ext(x0)
+    residual = _boundary_residual(u_field, x0, nu0, H, np.ones_like(x0), nu0)
+    return _identity_report(
         "neumann_identity",
-        params={"surface": surface, "n_points": len(points), "seed": seed,
-                "radius": radius, "delta": delta, "steps": list(steps)},
-        measured={"discrepancy": vals[-1], "per_step": vals,
-                  "negative_control": control,
-                  "control_ratio": control / max(vals[-1], 1e-300)},
-        orders={"observed": order},
-        criteria=_criteria("order_min: orders.observed >= 1.8 scalable",
-                           "control: measured.control_ratio > 10 fixed"),
-    )
+        {"surface": surface, "n_points": len(x0), "seed": seed,
+         "radius": radius, "delta": delta, "steps": list(steps)},
+        _ladder(residual, steps, 2.0), 1.8)
 
 
 # -- transverse identities ----------------------------------------------
@@ -530,58 +537,39 @@ def check_transverse_identity(profiles, delta: float, tau_set,
     box = box or BoxDomain((1.0, 1.0, 1.0))
     q = RoundedBox(box, delta)
     bps = _sample_patch_points(q, n_points, seed)
+    x0 = bps.x
     w = TrigField(seed=seed + 1, kmax=1)
-    A = algebra.pauli_matrices()
     rows = []
-    worst_order = np.inf
-    worst_ctrl = np.inf
-    worst_disc = 0.0
     for tau in tau_set:
         ctx = StretchContext(complex(tau), tuple(profiles))
+        nu_y, H, T, dn = ctx.stretched_jet(bps)
 
-        def prepare(bp):
-            """The point's jet and test field, built once for every step
-            and the control."""
-            nu_y, H, T, dn = ctx.stretched_jet(bp)
-            y0 = np.array([ctx.stretch_map(j, bp.x[j]) for j in range(3)])
-            M = np.column_stack([T, nu_y])
-            B = np.column_stack([dn, np.zeros(3)]) @ np.linalg.inv(M)
+        def stretch(x):
+            return np.stack([ctx.stretch_map(j, x[..., j])
+                             for j in range(3)], axis=-1)
+        y0 = stretch(x0)
+        # B T_i = dn_i and B nu_y = 0, so m(y) = nu_y + B (y - y0)
+        B = np.concatenate([dn, np.zeros_like(dn[..., :1])], axis=-1) \
+            @ np.linalg.inv(np.concatenate([T, nu_y[..., None]], axis=-1))
 
-            def u(x):
-                y = np.array([ctx.stretch_map(j, x[j]) for j in range(3)])
-                m = nu_y + B @ (y - y0)
-                return algebra.projector(+1, m) @ w(y)
-            return (bp.x, H, ctx.V_coefficients(bp.x, bp.nu), u, u(bp.x),
-                    algebra.projector(+1, nu_y), ctx.ratios(bp.x))
+        def u(x):
+            y = stretch(x)
+            return _act(algebra.projector(+1, nu_y + _act(B, y - y0)), w(y))
 
-        prepared = [prepare(bp) for bp in bps]
-
-        def discrepancy(h, curv_factor=1.0):
-            worst = 0.0
-            for x, H, vcoef, u, u0, pip, r in prepared:
-                grads = [_fd_partial(u, x, j, h) for j in range(3)]
-                lhs = pip @ sum(r[j] * (A[j] @ grads[j]) for j in range(3))
-                Vu = sum(vcoef[j] * grads[j] for j in range(3))
-                rhs = pip @ (Vu + curv_factor * H * u0)
-                scale = max(np.linalg.norm(u0), 1.0)
-                worst = _worse(worst, np.linalg.norm(lhs - rhs) / scale)
-            return worst
-
-        vals = [discrepancy(h) for h in steps]
-        order = fit_order(vals, factor=steps[0] / steps[1])
-        ctrl = discrepancy(steps[-1], curv_factor=0.0)
+        residual = _boundary_residual(u, x0, nu_y, H, ctx.ratios(x0),
+                                      ctx.V_coefficients(x0, bps.nu))
+        vals, order, ctrl = _ladder(residual, steps, 0.0)
         rows.append([tau, vals[-1], order, ctrl])
-        worst_order = _worse(worst_order, order, np.minimum)
-        worst_disc = _worse(worst_disc, vals[-1])
-        worst_ctrl = _worse(worst_ctrl, ctrl / max(vals[-1], 1e-300),
-                            np.minimum)
+    disc, order, ctrl = (np.array([row[i] for row in rows])
+                         for i in (1, 2, 3))
     return CheckReport(
         "transverse_identity",
         params={"delta": delta, "tau_set": [complex(t) for t in tau_set],
                 "n_points": len(bps), "seed": seed, "steps": list(steps)},
-        measured={"max_discrepancy": worst_disc,
-                  "control_ratio": worst_ctrl},
-        orders={"min_observed": worst_order},
+        measured={"max_discrepancy": float(np.max(disc, initial=0.0)),
+                  "control_ratio": float(np.min(
+                      ctrl / np.maximum(disc, 1e-300), initial=np.inf))},
+        orders={"min_observed": float(np.min(order, initial=np.inf))},
         criteria=_criteria(
             "order_min: orders.min_observed >= 1.8 scalable",
             "control: measured.control_ratio > 10 fixed"),
@@ -1032,9 +1020,10 @@ def check_stability(profiles, grid_sizes=(17, 25),
         times = np.asarray(rec.times)
         wt = timedomain._time_weights(times)
         nspat = grid.norm(src.spatial)
+        sq = [grid.norm(s) ** 2 for s in rec.traces]
         for lam in lams:
-            u2 = sum(w * np.exp(-2 * lam * t) * grid.norm(s) ** 2
-                     for w, t, s in zip(wt, times, rec.traces))
+            u2 = sum(w * np.exp(-2 * lam * t) * s2
+                     for w, t, s2 in zip(wt, times, sq))
             tq = np.linspace(0.0, t_off, 401)
             f2 = np.trapezoid(np.exp(-2 * lam * tq)
                               * src.envelope(tq) ** 2, tq) * nspat ** 2

@@ -2,10 +2,12 @@
 fields, fast identity checks with their negative controls, and
 determinism."""
 
+import signal
+
 import numpy as np
 import pytest
 
-from paulipml import verify
+from paulipml import cli, verify
 from paulipml.geometry import (BoxDomain, RoundedBox, rounded_box_point,
                                sample_boundary, singular_distance)
 from paulipml.stretching import AbsorptionProfile, StretchContext
@@ -179,6 +181,287 @@ def test_checks_are_deterministic():
     assert c.to_text() != a.to_text()
 
 
+# -- identity checks: stacked evaluation against the per-point loops --------
+
+def _worst(values):
+    worst = 0.0
+    for v in values:
+        worst = verify._worse(worst, v)
+    return worst
+
+
+def _ladder_reference(discrepancy, steps, wrong):
+    vals = [discrepancy(h) for h in steps]
+    return (vals, verify.fit_order(vals, steps[0] / steps[1]),
+            discrepancy(steps[-1], wrong))
+
+
+def _helmholtz_reference(ctx, n_samples, seed, steps):
+    """The per-point body of check_helmholtz_identity: (per-step
+    discrepancies, order, control)."""
+    rng = np.random.default_rng(seed)
+    w = verify.TrigField(seed=seed + 1)
+    A = verify.algebra.pauli_matrices()
+    tau = ctx.tau
+    margin = 4.0 * max(steps) + 0.02
+
+    def admissible(x):
+        return all(abs(abs(x[j]) - p.a) >= margin
+                   and abs(x[j]) <= p.b - margin
+                   for j, p in enumerate(ctx.profiles))
+
+    pts = []
+    while len(pts) < n_samples:
+        x = np.array([rng.uniform(-p.b, p.b) for p in ctx.profiles])
+        if admissible(x):
+            pts.append(x)
+
+    def apply_L(sgn, fun, x, h):
+        val = sgn * tau * fun(x)
+        r = ctx.ratios(x)
+        for j in range(3):
+            val = val + r[j] * (A[j] @ verify._fd_partial(fun, x, j, h))
+        return val
+
+    def divergence_side(x, fudge):
+        c = ctx.p_coefficients(x)
+        r = ctx.ratios(x)
+        val = -tau ** 2 * complex(ctx.Pi(x)) * w(x)
+        for j in range(3):
+            dcj = -ctx.profiles[j].derivative(x[j]) * c[j] * r[j] / tau
+            val = val + fudge * (dcj * w.partial(j, x)
+                                 + c[j] * w.partial2(j, x))
+        return val
+
+    def discrepancy(h, fudge=1.0):
+        def one(x):
+            inner = lambda y: apply_L(+1, w, y, h)
+            lhs = complex(ctx.Pi(x)) * apply_L(-1, inner, x, h)
+            rhs = divergence_side(x, fudge)
+            return np.max(np.abs(lhs - rhs)) / max(np.max(np.abs(rhs)), 1.0)
+        return _worst(one(x) for x in pts)
+
+    return _ladder_reference(discrepancy, steps, 1.01)
+
+
+def _neumann_reference(surface, n_points, seed, delta=0.3,
+                       steps=(0.02, 0.01)):
+    """The per-point body of check_neumann_identity, with its own
+    closed form of the rounded box's extended normal."""
+    rng = np.random.default_rng(seed)
+    w = verify.TrigField(seed=seed + 1)
+    A = verify.algebra.pauli_matrices()
+    if surface == "sphere":
+        dirs = rng.standard_normal((n_points, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        points = [(d, 1.0) for d in dirs]
+
+        def nu_ext(y):
+            return y / np.linalg.norm(y)
+    else:
+        q = RoundedBox(BoxDomain((1.0, 1.0, 1.0)), delta)
+        bps = verify._sample_patch_points(q, n_points, seed)
+        points = list(zip(bps.x, bps.H))
+
+        def nu_ext(y):
+            d = y - np.clip(y, -q.core_h, q.core_h)
+            n = np.linalg.norm(d)
+            if n < 1e-12:
+                axis = int(np.argmin(q.core_h - np.abs(y)))
+                e = np.zeros(3)
+                e[axis] = 1.0 if y[axis] >= 0 else -1.0
+                return e
+            return d / n
+
+    def u_field(y):
+        return verify.algebra.projector(+1, nu_ext(y)) @ w(y)
+
+    def discrepancy(h, curv_factor=1.0):
+        def one(x0, H):
+            nu0 = nu_ext(x0)
+            pip = verify.algebra.projector(+1, nu0)
+            grads = [verify._fd_partial(u_field, x0, j, h) for j in range(3)]
+            lhs = pip @ sum(A[j] @ grads[j] for j in range(3))
+            normal_d = sum(nu0[j] * grads[j] for j in range(3))
+            rhs = pip @ (normal_d + curv_factor * H * u_field(x0))
+            return (np.linalg.norm(lhs - rhs)
+                    / max(np.linalg.norm(u_field(x0)), 1.0))
+        return _worst(one(x0, H) for x0, H in points)
+
+    return _ladder_reference(discrepancy, steps, 2.0)
+
+
+def _transverse_reference(profiles, delta, tau_set, n_points, seed,
+                          steps=(0.02, 0.01)):
+    """The per-point body of check_transverse_identity: one (per-step
+    discrepancies, order, control) triple per tau."""
+    q = RoundedBox(BoxDomain((1.0, 1.0, 1.0)), delta)
+    bps = verify._sample_patch_points(q, n_points, seed)
+    w = verify.TrigField(seed=seed + 1, kmax=1)
+    A = verify.algebra.pauli_matrices()
+    out = []
+    for tau in tau_set:
+        ctx = StretchContext(complex(tau), tuple(profiles))
+
+        def prepare(bp):
+            nu_y, H, T, dn = ctx.stretched_jet(bp)
+            y0 = np.array([ctx.stretch_map(j, bp.x[j]) for j in range(3)])
+            M = np.column_stack([T, nu_y])
+            B = np.column_stack([dn, np.zeros(3)]) @ np.linalg.inv(M)
+
+            def u(x):
+                y = np.array([ctx.stretch_map(j, x[j]) for j in range(3)])
+                m = nu_y + B @ (y - y0)
+                return verify.algebra.projector(+1, m) @ w(y)
+            return (bp.x, H, ctx.V_coefficients(bp.x, bp.nu), u, u(bp.x),
+                    verify.algebra.projector(+1, nu_y), ctx.ratios(bp.x))
+
+        prepared = [prepare(bp) for bp in bps]
+
+        def discrepancy(h, curv_factor=1.0):
+            def one(x, H, vcoef, u, u0, pip, r):
+                grads = [verify._fd_partial(u, x, j, h) for j in range(3)]
+                lhs = pip @ sum(r[j] * (A[j] @ grads[j]) for j in range(3))
+                Vu = sum(vcoef[j] * grads[j] for j in range(3))
+                rhs = pip @ (Vu + curv_factor * H * u0)
+                return np.linalg.norm(lhs - rhs) / max(np.linalg.norm(u0),
+                                                       1.0)
+            return _worst(one(*p) for p in prepared)
+
+        out.append(_ladder_reference(discrepancy, steps, 0.0))
+    return out
+
+
+def _assert_close(got, ref, rel=1e-5):
+    assert np.all(np.isfinite(ref))
+    assert got == pytest.approx(ref, rel=rel)
+
+
+@pytest.mark.parametrize("tau", [2.0, 2.0 + 1.0j])
+def test_helmholtz_identity_matches_pointwise_reference(tau):
+    """Every per-step discrepancy, the control and the order agree with
+    the per-point loop.  The ladder is one
+    step coarser than the default: at h = 0.005 the nested 4th-order
+    difference sits within about 1e-5 of its roundoff floor, where a
+    reordered BLAS sum in the test field alone moves the discrepancy by
+    that much."""
+    ctx = StretchContext(tau, _profiles())
+    steps = (0.04, 0.02, 0.01)
+    rep = verify.check_helmholtz_identity(ctx, n_samples=6, seed=0,
+                                          steps=steps)
+    vals, order, control = _helmholtz_reference(ctx, 6, 0, steps)
+    _assert_close(rep.measured["per_step"], vals)
+    _assert_close(rep.measured["negative_control"], control)
+    _assert_close(rep.orders["observed"], order)
+
+
+@pytest.mark.parametrize("surface", ["sphere", "rounded_box"])
+def test_neumann_identity_matches_pointwise_reference(surface):
+    rep = verify.check_neumann_identity(surface, n_points=8, seed=0)
+    vals, order, control = _neumann_reference(surface, 8, 0)
+    _assert_close(rep.measured["per_step"], vals)
+    _assert_close(rep.measured["negative_control"], control)
+    _assert_close(rep.orders["observed"], order)
+
+
+def test_transverse_identity_matches_pointwise_reference():
+    """The per-tau table against the per-point loop at real and complex
+    tau.  The table holds the last step's discrepancy and the order of
+    the two-step ladder, which together fix the first step's."""
+    taus = (50.0, 50.0 + 20.0j)
+    rep = verify.check_transverse_identity(_profiles(), delta=0.3,
+                                           tau_set=taus, n_points=6)
+    _, rows = rep.tables["per_tau"]
+    ref = _transverse_reference(_profiles(), 0.3, taus, 6, 0)
+    for (_, disc, order, ctrl), (vals, ref_order, ref_ctrl) in zip(rows, ref):
+        _assert_close(disc, vals[-1])
+        _assert_close(order, ref_order)
+        _assert_close(ctrl, ref_ctrl)
+
+
+def test_rounded_box_normal_extends_the_boundary_normal():
+    """RoundedBox.normal is the normal of rounded_box_point near the
+    boundary, and is defined far from it too."""
+    q = RoundedBox(BoxDomain((1.0, 1.0, 1.0)), 0.3)
+    samples = sample_boundary(q, density=10.0)
+    for t in (-0.05, 0.0, 0.05):
+        x = samples.x + t * samples.nu
+        assert np.array_equal(q.normal(x), rounded_box_point(q, x).nu)
+    deep = np.array([[0.0, 0.1, 0.0], [0.9, 0.9, 0.0], [2.0, 2.0, 2.0]])
+    assert np.allclose(q.normal(deep), [[0.0, 1.0, 0.0],
+                                        [2 ** -0.5, 2 ** -0.5, 0.0],
+                                        [3 ** -0.5] * 3])
+
+
+IDENTITY_CHECKS = {
+    "helmholtz": lambda n: verify.check_helmholtz_identity(
+        StretchContext(2.0 + 1.0j, _profiles()), n_samples=n),
+    "sphere": lambda n: verify.check_neumann_identity("sphere", n_points=n),
+    "rounded_box": lambda n: verify.check_neumann_identity(
+        "rounded_box", n_points=n),
+    "transverse": lambda n: verify.check_transverse_identity(
+        _profiles(), delta=0.3, tau_set=(50.0, 50.0 + 20.0j), n_points=n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_CHECKS))
+def test_identity_checks_difference_all_points_at_once(name, monkeypatch):
+    """The number of finite-difference calls does not grow with the
+    number of sample points: each call differences the whole stack."""
+    orig = verify._fd_partial
+    calls = []
+
+    def counted(fun, x, j, h):
+        calls.append(np.shape(x))
+        return orig(fun, x, j, h)
+    monkeypatch.setattr(verify, "_fd_partial", counted)
+    counts = []
+    for n in (3, 6):
+        calls.clear()
+        IDENTITY_CHECKS[name](n)
+        counts.append(len(calls))
+        assert calls[0] == (n, 3)
+    assert counts[0] == counts[1] > 0
+
+
+class _Hang(Exception):
+    pass
+
+
+def _within(seconds, call):
+    """call(), failing with _Hang after ``seconds`` instead of running
+    on; _Hang is no error type the CLI catches."""
+    def alarm(*_):
+        raise _Hang(f"still running after {seconds} s")
+    old = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_helmholtz_identity_without_admissible_points_raises():
+    """Margin 0.1 from the seam at 0 and the face at 0.1 leaves no
+    point on any axis: the check says so instead of drawing forever."""
+    ctx = StretchContext(2.0 + 1.0j, (AbsorptionProfile(a=0.0, b=0.1),) * 3)
+    with pytest.raises(ValueError, match="margin"):
+        _within(20, lambda: verify.check_helmholtz_identity(ctx))
+
+
+def test_helmholtz_cli_without_admissible_points_is_exit_1(tmp_path,
+                                                           capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[experiment]\nkind = check:helmholtz\n"
+                   "[domain]\nhalf_length = 0.1\ndelta = 0.05\n"
+                   "[profile]\nstart = 0\n")
+    code = _within(20, lambda: cli.main([str(cfg), "--out",
+                                         str(tmp_path / "out")]))
+    assert code == 1
+    assert "margin" in capsys.readouterr().err
+
+
 # -- m bounds: stacked evaluation against the per-point loop ----------------
 
 M_BOUNDS_TAUS = tuple(t * (1.0 + 0.5j) for t in (1e2, 1e3, 1e4))
@@ -287,14 +570,14 @@ def test_nan_beta_fails_m_bounds(monkeypatch):
 
 
 def test_nan_discrepancy_fails_identity_check(monkeypatch):
-    """NaN derivatives at the sample points with x1 > 0 make the
+    """NaN derivatives at the sample rows with x1 > 0 make the
     discrepancy NaN and fail the check, though the other points
     converge."""
     orig = verify._fd_partial
 
     def poisoned(fun, x, j, h):
         d = orig(fun, x, j, h)
-        return d * np.nan if x[0] > 0 else d
+        return np.where(x[..., :1] > 0, d * np.nan, d)
     monkeypatch.setattr(verify, "_fd_partial", poisoned)
     rep = verify.check_neumann_identity("sphere", n_points=6)
     assert np.isnan(rep.measured["discrepancy"])
