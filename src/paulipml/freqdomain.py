@@ -36,7 +36,9 @@ Helmholtz bilinear form
 
 with trilinear tensor-product elements and the bilinear (unconjugated)
 dot product; used for coercivity evaluation and cross-validation, not
-as the production solver.
+as the production solver.  Each sigma_j depends on x_j alone and
+vanishes at 0 and the faces are flat (beta = tau), so the matrices are
+sums of Kronecker products of 1-D element matrices.
 """
 
 from __future__ import annotations
@@ -95,16 +97,23 @@ def _along(m: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     return g @ m.T
 
 
+def _axis_line(s, j: int) -> np.ndarray:
+    """The points s e_j (..., 3) on coordinate axis j, s (...)."""
+    return np.multiply.outer(s, np.eye(3)[j])
+
+
+def _kron3(mats) -> sp.csr_matrix:
+    """The Kronecker product of three per-axis matrices, acting on
+    (n1, n2, n3) node arrays flattened in C order."""
+    return sp.kron(sp.kron(mats[0], mats[1]), mats[2], format="csr")
+
+
 def _axis_factors(ctx: StretchContext, grid: Grid) -> list:
     """The 1-D factors K_j = diag(tau/(tau+sigma_j)) D_j, j = 0, 1, 2,
     each n_j x n_j and sparse."""
-    out = []
-    for j, ax in enumerate(grid.axes):
-        pts = np.zeros((len(ax), 3))
-        pts[:, j] = ax
-        out.append(sp.diags(ctx.ratios(pts)[:, j])
-                   @ _deriv1d(len(ax), grid.spacing[j]))
-    return out
+    return [sp.diags(ctx.ratios(_axis_line(ax, j))[:, j])
+            @ _deriv1d(len(ax), grid.spacing[j])
+            for j, ax in enumerate(grid.axes)]
 
 
 def _face_count(shape) -> np.ndarray:
@@ -149,13 +158,11 @@ def assemble_stretched(ctx: StretchContext, grid: Grid,
     A = algebra.pauli_matrices()
     nscalar = int(np.prod(grid.shape))
 
-    eyes = [sp.identity(n) for n in grid.shape]
     op = sp.csr_matrix((2 * nscalar, 2 * nscalar), dtype=complex)
     for j, k in enumerate(_axis_factors(ctx, grid)):
-        facs = list(eyes)
-        facs[j] = k
-        placed = sp.kron(sp.kron(facs[0], facs[1]), facs[2], format="csr")
-        op = op + sp.kron(placed, A[j], format="csr")
+        facs = [k if i == j else sp.identity(n)
+                for i, n in enumerate(grid.shape)]
+        op = op + sp.kron(_kron3(facs), A[j], format="csr")
     op = op + ctx.tau * sp.identity(2 * nscalar, dtype=complex)
 
     # row replacement at boundary nodes: S @ op + P, rhs = S @ F; a node
@@ -393,14 +400,27 @@ def second_bc_residual(u: np.ndarray, ctx: StretchContext, grid: Grid,
 
 # -- Helmholtz Petrov-Galerkin ----------------------------------------
 
-_GP = np.array([-1.0, 1.0]) / np.sqrt(3.0)  # 2-point Gauss on [-1, 1]
+# 2-point Gauss rule on [0, 1]; linear shape functions and derivatives
+# there, indexed (function, point)
+_GT = 0.5 * (1.0 + np.array([-1.0, 1.0]) / np.sqrt(3.0))
+_N = np.stack([1.0 - _GT, _GT])
+_DN = np.array([[-1.0, -1.0], [1.0, 1.0]])
 
 
-def _shape1d(t):
-    """Linear shape functions and derivatives on [0, 1]."""
-    t = np.asarray(t)
-    return np.stack([1 - t, t]), np.stack([-np.ones_like(t),
-                                           np.ones_like(t)])
+def _line_matrix(w: np.ndarray, h: float, shape: np.ndarray) -> sp.csr_matrix:
+    """The tridiagonal matrix of int w phi_a phi_b over a grid axis of
+    spacing h by 2-point Gauss quadrature: w (ncell, 2) is the weight
+    at the Gauss points, ``shape`` the phi there (``_N``, or ``_DN / h``
+    for the derivatives)."""
+    loc = np.einsum("cp,ap,bp->cab", w, shape, shape) * (0.5 * h)
+    diag = np.pad(loc[:, 0, 0], (0, 1)) + np.pad(loc[:, 1, 1], (1, 0))
+    return sp.diags([loc[:, 1, 0], diag, loc[:, 0, 1]], [-1, 0, 1],
+                    format="csr")
+
+
+def _bilinear(K, u: np.ndarray, v: np.ndarray) -> complex:
+    """sum_c v_c^T K u_c over the two spinor components."""
+    return complex(sum(v[c].ravel() @ (K @ u[c].ravel()) for c in range(2)))
 
 
 @dataclass
@@ -427,18 +447,11 @@ class HelmholtzAssembly:
     def form(self, u: np.ndarray, v: np.ndarray) -> complex:
         """A(u, v) with the bilinear dot; pass v = conj(u) for the
         Hermitian quadratic form."""
-        K = self.operator
-        total = 0.0 + 0.0j
-        for c in range(2):
-            total += v[c].ravel() @ (K @ u[c].ravel())
-        return complex(total)
+        return _bilinear(self.operator, u, v)
 
     def form_parts(self, u: np.ndarray, v: np.ndarray):
-        parts = []
-        for K in (self.stiffness, self.mass, self.boundary):
-            total = sum(v[c].ravel() @ (K @ u[c].ravel()) for c in range(2))
-            parts.append(complex(total))
-        return tuple(parts)
+        return tuple(_bilinear(K, u, v)
+                     for K in (self.stiffness, self.mass, self.boundary))
 
     def project_trial(self, u: np.ndarray) -> np.ndarray:
         """Constrain face nodes to the outgoing eigenspace E+(nu) and
@@ -452,105 +465,32 @@ class HelmholtzAssembly:
         return out
 
 
-def _gauss_points(coords) -> np.ndarray:
-    """Quadrature points (ncell, ngauss, 3) of the tensor product of
-    three per-axis (cells, points) coordinate arrays; cells and points
-    each run in C order over the axes."""
-    c1, c2, c3 = coords
-    pts = np.stack(np.broadcast_arrays(c1[:, None, None, :, None, None],
-                                       c2[None, :, None, None, :, None],
-                                       c3[None, None, :, None, None, :]),
-                   axis=-1)
-    return pts.reshape(-1, int(np.prod(pts.shape[3:6])), 3)
-
-
 def assemble_helmholtz(ctx: StretchContext, grid: Grid) -> HelmholtzAssembly:
     """Assemble the trilinear-element matrices of the Helmholtz form
-    with 2x2x2 Gauss quadrature per cell (2x2 on boundary faces)."""
-    n1, n2, n3 = grid.shape
+    with 2x2x2 Gauss quadrature per cell (2x2 on boundary faces).
+
+    Each sigma_j depends on x_j alone and vanishes at 0, and on the flat
+    faces beta = tau, so c_j(x) = prod_k c_j(x_k e_k), likewise Pi, and
+    Phi(x) = prod_k Phi(x_k e_k) over a face's two tangential axes.  The
+    matrices are thus sums of Kronecker products of 1-D element
+    matrices: for c_j the 1-D stiffness on axis j and masses elsewhere,
+    for tau^2 Pi the masses, and per face the tangential masses times
+    the face node's entry on the normal axis.
+    """
     h = grid.spacing
-    nscalar = n1 * n2 * n3
+    gx = [ax[:-1, None] + h[j] * _GT for j, ax in enumerate(grid.axes)]
+    c = [ctx.p_coefficients(_axis_line(g, k)) for k, g in enumerate(gx)]
+    K = sum(_kron3([_line_matrix(c[k][..., j], h[k],
+                                 _DN / h[k] if k == j else _N)
+                    for k in range(3)]) for j in range(3))
+    M = ctx.tau ** 2 * _kron3([
+        _line_matrix(ctx.Pi(_axis_line(g, k)), h[k], _N)
+        for k, g in enumerate(gx)])
 
-    # reference data: 8 nodes x 8 Gauss points
-    t = 0.5 * (_GP + 1.0)
-    N1, dN1 = _shape1d(t)  # (2, 2)
-    gw = 0.5  # Gauss weight on [0, 1]
-
-    # tabulate phi_a(g) and grad phi_a(g) on the reference cell
-    nodes = [(a, b, c) for a in range(2) for b in range(2) for c in range(2)]
-    gps = [(p, q, r) for p in range(2) for q in range(2) for r in range(2)]
-    phi = np.zeros((8, 8))
-    dphi = np.zeros((8, 8, 3))
-    for ia, (a, b, c) in enumerate(nodes):
-        for ig, (p, q, r) in enumerate(gps):
-            phi[ia, ig] = N1[a, p] * N1[b, q] * N1[c, r]
-            dphi[ia, ig, 0] = dN1[a, p] * N1[b, q] * N1[c, r] / h[0]
-            dphi[ia, ig, 1] = N1[a, p] * dN1[b, q] * N1[c, r] / h[1]
-            dphi[ia, ig, 2] = N1[a, p] * N1[b, q] * dN1[c, r] / h[2]
-    wvol = gw ** 3 * float(np.prod(h))
-
-    # Gauss point coordinates for every cell, axis by axis: (ncell_j, 2)
-    gx = [ax[:-1, None] + h[j] * t[None, :] for j, ax in enumerate(grid.axes)]
-    e1, e2, e3 = n1 - 1, n2 - 1, n3 - 1
-    ncell = e1 * e2 * e3
-
-    # coefficients at all Gauss points
-    gp = _gauss_points(gx)
-    tau = ctx.tau
-    Pi_g = ctx.Pi(gp)
-    c_g = ctx.p_coefficients(gp)
-
-    # element matrices, vectorized over cells
-    K_loc = np.zeros((ncell, 8, 8), dtype=complex)
-    for j in range(3):
-        K_loc += np.einsum("cg,ag,bg->cab", c_g[..., j],
-                           dphi[:, :, j], dphi[:, :, j]) * wvol
-    M_loc = np.einsum("cg,ag,bg->cab", tau ** 2 * Pi_g, phi, phi) * wvol
-
-    # global scatter
-    strides = np.array([n2 * n3, n3, 1])
-    ci, cj, ck = np.meshgrid(np.arange(e1), np.arange(e2), np.arange(e3),
-                             indexing="ij")
-    base = (ci * strides[0] + cj * strides[1] + ck).ravel()
-    offsets = np.array([a * strides[0] + b * strides[1] + c
-                        for (a, b, c) in nodes])
-    conn = base[:, None] + offsets[None, :]  # (ncell, 8)
-
-    rows = np.repeat(conn, 8, axis=1).ravel()
-    cols = np.tile(conn, (1, 8)).ravel()
-
-    def scatter(loc):
-        vals = loc.reshape(ncell, 64).ravel()
-        return sp.coo_matrix((vals, (rows, cols)),
-                             shape=(nscalar, nscalar)).tocsr()
-
-    K = scatter(K_loc)
-    M = scatter(M_loc)
-
-    # boundary term: bilinear elements on each face, coefficient Phi*tau
-    # (mean curvature vanishes on the flat faces, so beta = tau)
-    fnodes = [(a, b) for a in range(2) for b in range(2)]
-    fphi = np.einsum("ap,bq->abpq", N1, N1).reshape(4, 4)
-    node_ids = np.arange(nscalar).reshape(grid.shape)
-    Brows, Bcols, Bvals = [], [], []
-    for _, axis, sign, nu, index in faces():
-        i1, i2 = [i for i in range(3) if i != axis]
-        area_w = gw ** 2 * h[i1] * h[i2]
-        coords = list(gx)
-        coords[axis] = np.full((1, 1), sign * grid.box.h[axis])
-        coef = ctx.Phi(_gauss_points(coords), nu) * tau  # beta = tau
-        floc = np.einsum("cg,ag,bg->cab", coef, fphi, fphi) * area_w
-
-        foff = np.array([a * strides[i1] + b * strides[i2]
-                         for (a, b) in fnodes])
-        fconn = node_ids[index][:-1, :-1].reshape(-1, 1) + foff[None, :]
-        Brows.append(np.repeat(fconn, 4, axis=1).ravel())
-        Bcols.append(np.tile(fconn, (1, 4)).ravel())
-        Bvals.append(floc.reshape(-1))
-    B = sp.coo_matrix((np.concatenate(Bvals),
-                       (np.concatenate(Brows), np.concatenate(Bcols))),
-                      shape=(nscalar, nscalar)).tocsr()
-
+    B = ctx.tau * sum(_kron3([
+        _line_matrix(ctx.Phi(_axis_line(g, k), nu), h[k], _N) if k != axis
+        else sp.diags(np.eye(len(g) + 1)[index[k]], format="csr")
+        for k, g in enumerate(gx)]) for _, axis, _, nu, index in faces())
     return HelmholtzAssembly(grid, ctx, K, M, B)
 
 

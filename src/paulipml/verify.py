@@ -349,6 +349,13 @@ def _ladder(residual, steps, wrong):
     return vals, fit_order(vals, steps[0] / steps[1]), control
 
 
+def _box_steps(steps, delta: float):
+    """``steps``, or by default (0.02, 0.01) scaled by delta / 0.3, so
+    that the +-2h stencil stays on one patch of the rounded box."""
+    scale = delta / 0.3
+    return (0.02 * scale, 0.01 * scale) if steps is None else steps
+
+
 def _identity_report(name, params, ladder, order_min):
     """The report of a one-ladder identity check: it passes when the
     observed order reaches order_min and the control stays more than
@@ -475,7 +482,7 @@ def _sample_patch_points(q: RoundedBox, n: int, seed: int,
 def check_neumann_identity(surface: str = "sphere", n_points: int = 15,
                            seed: int = 0, radius: float = 1.0,
                            delta: float = 0.3,
-                           steps=(0.02, 0.01)) -> CheckReport:
+                           steps=None) -> CheckReport:
     """On a sphere or rounded box, fields u = pi^+(nu(x)) w(x) with the
     normal extended constant along normal lines satisfy
 
@@ -486,7 +493,8 @@ def check_neumann_identity(surface: str = "sphere", n_points: int = 15,
     trace of the Weingarten map, is forced by the perturbation formula:
     each principal direction contributes kappa_i/2.  Checked by
     4th-order finite differences; the negative control doubles the
-    curvature term and must not converge.
+    curvature term and must not converge.  On the rounded box the
+    default steps scale with delta.
     """
     rng = np.random.default_rng(seed)
     w = TrigField(seed=seed + 1)
@@ -507,6 +515,7 @@ def check_neumann_identity(surface: str = "sphere", n_points: int = 15,
     def u_field(y):
         return _act(algebra.projector(+1, nu_ext(y)), w(y))
 
+    steps = _box_steps(steps, delta if surface == "rounded_box" else 0.3)
     nu0 = nu_ext(x0)
     residual = _boundary_residual(u_field, x0, nu0, H, np.ones_like(x0), nu0)
     return _identity_report(
@@ -521,7 +530,7 @@ def check_neumann_identity(surface: str = "sphere", n_points: int = 15,
 def check_transverse_identity(profiles, delta: float, tau_set,
                               box: BoxDomain | None = None,
                               n_points: int = 8, seed: int = 0,
-                              steps=(0.02, 0.01)) -> CheckReport:
+                              steps=None) -> CheckReport:
     """Stretched version of the Neumann identity on the rounded box:
 
         pi^+(nu~) sum_j A_j d~_j u = pi^+(nu~) (V + H_img) u,
@@ -532,8 +541,9 @@ def check_transverse_identity(profiles, delta: float, tau_set,
     the first-order behavior matches the normal field that is constant
     along normal lines).  Real and complex tau are run with the same
     tolerance; holomorphy in tau makes the complex case a continuation
-    of the real one.
+    of the real one.  The default steps scale with delta.
     """
+    steps = _box_steps(steps, delta)
     box = box or BoxDomain((1.0, 1.0, 1.0))
     q = RoundedBox(box, delta)
     bps = _sample_patch_points(q, n_points, seed)

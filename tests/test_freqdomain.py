@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from paulipml import freqdomain as fd
 from paulipml.algebra import pauli_matrices, projector
 from paulipml.errors import AssemblyError, NonConvergenceError
-from paulipml.geometry import BoxDomain, face_axis_sign, face_normal
+from paulipml.geometry import BoxDomain, face_axis_sign, face_normal, faces
 from paulipml.stretching import AbsorptionProfile, StretchContext
 from paulipml.timedomain import Grid
 
@@ -250,6 +250,109 @@ def test_export_matrix_round_trip(tmp_path):
     back = np.zeros(op.matrix.shape, dtype=complex)
     back[rows.astype(int), cols.astype(int)] = re + 1j * im
     assert np.allclose(back, op.matrix.toarray())
+
+
+def _helmholtz_reference(ctx, grid):
+    """The stiffness, mass and boundary matrices assembled element by
+    element: 8x8 element matrices tabulated on every cell at its 2x2x2
+    Gauss points (4x4 on each face cell at its 2x2 points) and scattered
+    through the connectivity table."""
+    n1, n2, n3 = grid.shape
+    h = grid.spacing
+    nscalar = n1 * n2 * n3
+    t = 0.5 * (np.array([-1.0, 1.0]) / np.sqrt(3.0) + 1.0)
+    N1 = np.stack([1 - t, t])
+    dN1 = np.stack([-np.ones_like(t), np.ones_like(t)])
+    gw = 0.5  # Gauss weight on [0, 1]
+
+    def gauss_points(coords):
+        c1, c2, c3 = coords
+        pts = np.stack(np.broadcast_arrays(
+            c1[:, None, None, :, None, None], c2[None, :, None, None, :, None],
+            c3[None, None, :, None, None, :]), axis=-1)
+        return pts.reshape(-1, int(np.prod(pts.shape[3:6])), 3)
+
+    nodes = [(a, b, c) for a in range(2) for b in range(2) for c in range(2)]
+    phi = np.zeros((8, 8))
+    dphi = np.zeros((8, 8, 3))
+    for ia, (a, b, c) in enumerate(nodes):
+        for ig, (p, q, r) in enumerate(nodes):
+            phi[ia, ig] = N1[a, p] * N1[b, q] * N1[c, r]
+            dphi[ia, ig, 0] = dN1[a, p] * N1[b, q] * N1[c, r] / h[0]
+            dphi[ia, ig, 1] = N1[a, p] * dN1[b, q] * N1[c, r] / h[1]
+            dphi[ia, ig, 2] = N1[a, p] * N1[b, q] * dN1[c, r] / h[2]
+    wvol = gw ** 3 * float(np.prod(h))
+
+    gx = [ax[:-1, None] + h[j] * t[None, :] for j, ax in enumerate(grid.axes)]
+    e1, e2, e3 = n1 - 1, n2 - 1, n3 - 1
+    ncell = e1 * e2 * e3
+    gp = gauss_points(gx)
+    c_g = ctx.p_coefficients(gp)
+    K_loc = np.zeros((ncell, 8, 8), dtype=complex)
+    for j in range(3):
+        K_loc += np.einsum("cg,ag,bg->cab", c_g[..., j],
+                           dphi[:, :, j], dphi[:, :, j]) * wvol
+    M_loc = np.einsum("cg,ag,bg->cab", ctx.tau ** 2 * ctx.Pi(gp),
+                      phi, phi) * wvol
+
+    strides = np.array([n2 * n3, n3, 1])
+    ci, cj, ck = np.meshgrid(np.arange(e1), np.arange(e2), np.arange(e3),
+                             indexing="ij")
+    base = (ci * strides[0] + cj * strides[1] + ck).ravel()
+    offsets = np.array([a * strides[0] + b * strides[1] + c
+                        for (a, b, c) in nodes])
+    conn = base[:, None] + offsets[None, :]
+    rows = np.repeat(conn, 8, axis=1).ravel()
+    cols = np.tile(conn, (1, 8)).ravel()
+
+    def scatter(loc):
+        return sp.coo_matrix((loc.ravel(), (rows, cols)),
+                             shape=(nscalar, nscalar)).tocsr()
+
+    # faces: coefficient Phi tau (beta = tau on the flat faces)
+    fnodes = [(a, b) for a in range(2) for b in range(2)]
+    fphi = np.einsum("ap,bq->abpq", N1, N1).reshape(4, 4)
+    node_ids = np.arange(nscalar).reshape(grid.shape)
+    Brows, Bcols, Bvals = [], [], []
+    for _, axis, sign, nu, index in faces():
+        i1, i2 = [i for i in range(3) if i != axis]
+        coords = list(gx)
+        coords[axis] = np.full((1, 1), sign * grid.box.h[axis])
+        coef = ctx.Phi(gauss_points(coords), nu) * ctx.tau
+        floc = np.einsum("cg,ag,bg->cab", coef, fphi, fphi) \
+            * gw ** 2 * h[i1] * h[i2]
+        foff = np.array([a * strides[i1] + b * strides[i2]
+                         for (a, b) in fnodes])
+        fconn = node_ids[index][:-1, :-1].reshape(-1, 1) + foff[None, :]
+        Brows.append(np.repeat(fconn, 4, axis=1).ravel())
+        Bcols.append(np.tile(fconn, (1, 4)).ravel())
+        Bvals.append(floc.reshape(-1))
+    B = sp.coo_matrix((np.concatenate(Bvals),
+                       (np.concatenate(Brows), np.concatenate(Bcols))),
+                      shape=(nscalar, nscalar)).tocsr()
+    return scatter(K_loc), scatter(M_loc), B
+
+
+@pytest.mark.parametrize("tau", [2.0 + 1.0j, 2.0 - 1.0j, 8.0 + 0.5j])
+@pytest.mark.parametrize("kind", ["polynomial_bump", "smooth_bump"])
+def test_helmholtz_assembly_matches_element_reference(kind, tau):
+    """The Kronecker-product matrices equal the element-by-element ones
+    on a non-cubic grid of a non-cubic box, entry by entry and in their
+    sparsity pattern."""
+    box = BoxDomain((1.0, 0.8, 1.2), inner_fraction=0.5)
+    grid = Grid(box, (5, 6, 7))
+    profs = tuple(AbsorptionProfile(a=0.5 * b, b=b, sigma0=3.0, kind=kind)
+                  for b in box.half_lengths)
+    ctx = StretchContext(tau, profs)
+    asm = fd.assemble_helmholtz(ctx, grid)
+    for got, want in zip((asm.stiffness, asm.mass, asm.boundary),
+                         _helmholtz_reference(ctx, grid)):
+        got, want = got.tocsr(), want.tocsr()
+        got.sort_indices()
+        want.sort_indices()
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert abs(got - want).max() <= 1e-13 * abs(want).max()
 
 
 class TestHelmholtzForm:

@@ -172,6 +172,30 @@ def test_transverse_identity_real_and_complex():
     assert float(rep.orders["min_observed"]) >= 1.8
 
 
+def test_rounded_box_neumann_identity_resolves_small_delta():
+    """At delta = 0.1 the default steps shrink to (0.02, 0.01) / 3.  The
+    unscaled +-2h stencil spans the patch seams of the radius-0.1
+    corners: the order fit then read 1.99 on a discrepancy of 0.40."""
+    rep = verify.check_neumann_identity("rounded_box", delta=0.1)
+    assert rep.passed
+    assert float(rep.measured["discrepancy"]) < 1e-2
+    assert float(rep.orders["observed"]) >= 3.5
+
+
+def test_transverse_identity_scales_steps_with_delta():
+    """With unscaled steps the check fails at delta = 0.15 (order
+    0.87); the scaled ladder is exactly (0.02, 0.01) at delta = 0.3 and
+    an explicit ladder is kept."""
+    rep = verify.check_transverse_identity(_profiles(), delta=0.15,
+                                           tau_set=(10.0 + 5.0j,))
+    assert rep.passed
+    assert rep.params["steps"] == [0.01, 0.005]
+    for steps, want in ((None, [0.02, 0.01]), ((0.04, 0.02), [0.04, 0.02])):
+        rep = verify.check_neumann_identity("rounded_box", n_points=2,
+                                            steps=steps)
+        assert rep.params["steps"] == want
+
+
 def test_checks_are_deterministic():
     ctx = StretchContext(2.0 + 1.0j, _profiles())
     a = verify.check_helmholtz_identity(ctx, n_samples=3, seed=11)
