@@ -5,9 +5,10 @@ Primary path: the first-order stretched system
     tau u + sum_j A_j (tau/(tau+sigma_j)) d_j u = F   on the box,
     pi^-(nu) u = 0                                    on each face,
 
-discretized with 2nd-order centered stencils (one-sided closures at the
-faces).  Boundary rows use the replace-the-row strategy: at a face node
-the two scalar equations are pi^-(nu) u = 0 together with the
+discretized with the 2nd-order centered stencil ``CENTERED2`` of the
+stencil table in ``timedomain`` (one-sided closures at the faces).
+Boundary rows use the replace-the-row strategy: at a face node the two
+scalar equations are pi^-(nu) u = 0 together with the
 pi^+(nu)-projection of the interior equation; at nodes shared by
 several faces the projections pi^-(nu_k) are summed, which pins the
 value to the intersection of the outgoing eigenspaces (the zero vector
@@ -56,7 +57,7 @@ from .errors import (AssemblyError, NonConvergenceError,
                      SingularOperatorError)
 from .geometry import faces
 from .stretching import StretchContext
-from .timedomain import Grid
+from .timedomain import CENTERED2, PROBE, Grid, derivative
 from . import algebra
 
 __all__ = [
@@ -71,19 +72,9 @@ __all__ = [
 ]
 
 
-def _centered(u: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Centered d/dx on the full array (one-sided 2nd order at ends)."""
-    u = np.moveaxis(u, axis, 0)
-    out = np.empty_like(u)
-    out[1:-1] = (u[2:] - u[:-2]) / 2.0
-    out[0] = (-1.5 * u[0] + 2.0 * u[1] - 0.5 * u[2])
-    out[-1] = (1.5 * u[-1] - 2.0 * u[-2] + 0.5 * u[-3])
-    return np.moveaxis(out / h, 0, axis)
-
-
 def _deriv1d(n: int, h: float) -> sp.csr_matrix:
-    """The stencil of ``_centered`` as an n x n sparse matrix."""
-    return sp.csr_matrix(_centered(np.eye(n), 0, h))
+    """The stencil ``CENTERED2`` as an n x n sparse matrix."""
+    return sp.csr_matrix(derivative(CENTERED2, np.eye(n), 0, h))
 
 
 def _along(m: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
@@ -335,7 +326,7 @@ def helmholtz_vs_stretched(u: np.ndarray, ctx: StretchContext, grid: Grid,
 
     rhs = np.zeros_like(u)
     for j in range(3):
-        dF = _centered(F, j + 1, h[j])
+        dF = derivative(CENTERED2, F, j + 1, h[j])
         rhs += np.einsum("ab,b...->a...", A[j], ratios[None, ..., j] * dF)
     rhs = Pi[None] * (rhs - tau * F)
 
@@ -345,37 +336,22 @@ def helmholtz_vs_stretched(u: np.ndarray, ctx: StretchContext, grid: Grid,
     return np.where(mask[None], res, 0.0)
 
 
-def _probe_deriv(u: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """d/dx with 4th-order centered interior and 3rd-order one-sided
-    closures.  Deliberately different stencils from _deriv1d, so that
-    residuals measured with it are independent of the assembled rows
-    (a residual built from the solver's own stencils is an exact
-    combination of the imposed constraints and says nothing)."""
-    u = np.moveaxis(u, axis, 0)
-    out = np.empty_like(u)
-    out[2:-2] = (u[:-4] - 8 * u[1:-3] + 8 * u[3:-1] - u[4:]) / 12.0
-    c = np.array([-11.0, 18.0, -9.0, 2.0]) / 6.0
-    for r in range(2):
-        out[r] = sum(ci * u[r + i] for i, ci in enumerate(c))
-        out[-1 - r] = -sum(ci * u[-1 - r - i] for i, ci in enumerate(c))
-    return np.moveaxis(out / h, 0, axis)
-
-
 def second_bc_residual(u: np.ndarray, ctx: StretchContext, grid: Grid,
                        margin: float = 0.25) -> tuple[dict, float]:
     """Residual of the second boundary condition on the six faces.
 
     At face nodes, evaluates || pi^+(nu~) (V u + tau u) || with the
-    transverse operator V discretized by one-sided 3rd-order stencils
-    along the normal and 4th-order centered stencils tangentially,
-    independent of the stencils the solver imposed.  Nodes within
-    ``margin`` (fraction of the half length) of a face edge are skipped
-    because the corner rows of the solver pin the solution there.
+    transverse operator V discretized by the stencil ``PROBE``
+    (one-sided 3rd order along the normal, 4th-order centered
+    tangentially), independent of the stencil the solver imposed.
+    Nodes within ``margin`` (fraction of the half length) of a face edge
+    are skipped because the corner rows of the solver pin the solution
+    there.
     Returns ({face: residual array}, max).
     """
     h = grid.spacing
     x = grid.mesh()
-    grads = [_probe_deriv(u, j + 1, h[j]) for j in range(3)]
+    grads = [derivative(PROBE, u, j + 1, h[j]) for j in range(3)]
     out = {}
     worst = 0.0
     for k, axis, _, nu, index in faces():

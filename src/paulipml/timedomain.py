@@ -17,7 +17,8 @@ nested Horner levels z <- y + c (L z + e f), z = y at the start, with
     (dt, (f0 + 4 fm + f1)/6),
 
 f0, fm, f1 the envelopes at t, t + dt/2, t + dt; this equals the staged
-y + dt/6 (k1 + 2 k2 + 2 k3 + k4) exactly.  The module also provides
+y + dt/6 (k1 + 2 k2 + 2 k3 + k4) exactly.  The module also holds the
+derivative-stencil table that both solvers read, and provides
 probe/snapshot recording, exponentially weighted space-time norms, and
 the truncated Laplace transform of the trace.
 """
@@ -43,6 +44,11 @@ __all__ = [
     "Recording",
     "Workspace",
     "gaussian_source",
+    "Stencil",
+    "FOURTH",
+    "CENTERED2",
+    "PROBE",
+    "derivative",
     "diff4",
     "rhs",
     "apply_boundary",
@@ -113,6 +119,108 @@ def _trap_1d(n: int) -> np.ndarray:
     w = np.ones(n)
     w[0] = w[-1] = 0.5
     return w
+
+
+# -- the derivative-stencil table -----------------------------------------
+
+@dataclass(frozen=True, eq=False)  # compared by identity: holds an array
+class Stencil:
+    """A first-derivative stencil times ``den``.  Row i of the interior
+    is sum_k c_k (f[i+k] - f[i-k]) over the antisymmetric ``pairs``
+    (k, c_k), k increasing; the (r, w) matrix ``low`` replaces the
+    first r rows with combinations of the first w nodes (r at least the
+    widest k), and the high end is its mirror -low[::-1, ::-1].  The
+    derivative is the stencil sum over den h.
+    """
+
+    pairs: tuple
+    low: np.ndarray
+    den: float
+
+    @cached_property
+    def high(self) -> np.ndarray:
+        return -self.low[::-1, ::-1].copy()
+
+    @cached_property
+    def last(self) -> dict:
+        """The closures on the last axis of a float view, where a node
+        is a group of ``width`` floats (re, im for a complex field):
+        Kronecker products with eye(width), applied from the right."""
+        return {width: (np.kron(self.low.T, np.eye(width)),
+                        np.kron(self.high.T, np.eye(width)))
+                for width in (1, 2)}
+
+
+# 4th order: (1, -8, 0, 8, -1)/12 inside, 4th-order one-sided closures
+# in the two end rows; the time-domain kernel
+FOURTH = Stencil(((1, 8.0), (2, -1.0)),
+                 np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
+                           [-3.0, -10.0, 18.0, -6.0, 1.0]]), 12.0)
+# 2nd order: (-1, 0, 1)/2 inside, one-sided 2nd order in the end row;
+# the stencil of the frequency-domain assembly
+CENTERED2 = Stencil(((1, 1.0),), np.array([[-3.0, 4.0, -1.0]]), 2.0)
+# 4th-order interior with 3rd-order one-sided closures in two end rows.
+# Its rows differ from CENTERED2's, so residuals measured with it are
+# independent of the assembled rows (a residual built from the solver's
+# own stencil is an exact combination of the imposed constraints and
+# says nothing).
+PROBE = Stencil(((1, 8.0), (2, -1.0)),
+                np.array([[-22.0, 36.0, -18.0, 4.0, 0.0],
+                          [0.0, -22.0, 36.0, -18.0, 4.0]]), 12.0)
+
+
+def derivative(stencil: Stencil, f: np.ndarray, axis: int, h: float,
+               out: np.ndarray | None = None,
+               scaled: bool = True) -> np.ndarray:
+    """d/dx along ``axis`` by ``stencil``.
+
+    The result is written to ``out`` when given (C-contiguous, f's
+    shape and dtype, not overlapping f), and nothing else is allocated.
+    ``scaled=False`` leaves out the factor 1/(den h), for callers that
+    fold it into their own coefficients.
+    """
+    f = np.ascontiguousarray(f)
+    if out is None:
+        out = np.empty_like(f)
+    elif not out.flags.c_contiguous or out.dtype != f.dtype:
+        raise ValueError("out must be C-contiguous with f's dtype")
+    axis %= f.ndim
+    # Interior on the flat arrays: one node along `axis` is `step`
+    # elements.  The widest pair is one subtract, each other pair two
+    # axpys.  The end rows pick up wrong neighbours here and are
+    # overwritten by the closures below.
+    step = int(np.prod(f.shape[axis + 1:]))
+    g, o = f.reshape(-1), out.reshape(-1)
+    size = g.size
+    *rest, (m, cm) = stencil.pairs
+    inner = o[m * step:size - m * step]
+    lo, hi = g[:size - 2 * m * step], g[2 * m * step:]
+    if cm < 0:
+        lo, hi = hi, lo
+    np.subtract(hi, lo, out=inner)
+    if abs(cm) != 1:
+        inner *= abs(cm)
+    axpy = get_blas_funcs("axpy", (g,))
+    for k, c in rest:
+        axpy(g[(m + k) * step:size - (m - k) * step], inner, a=c)
+        axpy(g[(m - k) * step:size - (m + k) * step], inner, a=-c)
+    # End rows: the closures are real, so they act on the float view,
+    # whose last axis interleaves re and im when f is complex.
+    width = 2 if np.iscomplexobj(f) else 1
+    r, w = stencil.low.shape
+    g, o = f.view(f.real.dtype), out.view(f.real.dtype)
+    if axis < f.ndim - 1:
+        g, o = (a.reshape(-1, f.shape[axis], width * step) for a in (g, o))
+        np.matmul(stencil.low, g[:, :w], out=o[:, :r])
+        np.matmul(stencil.high, g[:, -w:], out=o[:, -r:])
+    else:
+        g, o = (a.reshape(-1, a.shape[-1]) for a in (g, o))
+        low, high = stencil.last[width]
+        np.matmul(g[:, :w * width], low, out=o[:, :r * width])
+        np.matmul(g[:, -w * width:], high, out=o[:, -r * width:])
+    if scaled:
+        out *= 1.0 / (stencil.den * h)
+    return out
 
 
 @dataclass
@@ -190,7 +298,6 @@ class SimConfig:
     probes: tuple = ()
     stride: int = 1
     lam: float = 1.0
-    record_splits: bool = False
 
     def __post_init__(self):
         if not 0 < self.cfl <= 1:
@@ -203,73 +310,21 @@ class SimConfig:
 
 # -- the fused split-field kernel ---------------------------------------
 
-# 4th-order one-sided closures for the first two rows, times 12: the
-# (2, 5) matrices that map the five end nodes to the two end rows; the
-# interior stencil, times 12, is (1, -8, 0, 8, -1).  Along the last
-# axis of a float view a node is a group of `width` floats (re, im for a
-# complex field), so there the closures are the Kronecker products with
-# eye(width), applied from the right.
-_EDGE_LOW = np.array([
-    [-25.0, 48.0, -36.0, 16.0, -3.0],
-    [-3.0, -10.0, 18.0, -6.0, 1.0],
-])
-_EDGE_HIGH = -_EDGE_LOW[::-1, ::-1].copy()
-_EDGE_LAST = {width: (np.kron(_EDGE_LOW.T, np.eye(width)),
-                      np.kron(_EDGE_HIGH.T, np.eye(width)))
-              for width in (1, 2)}
-
 # A_j acting on a spinor v, one row per output component a:
-# (A_j v)_a = factor * v[source], stored as (source, factor).
-_PAULI_ACTION = (
-    ((0, 1.0), (1, -1.0)),   # A1 = diag(1, -1)
-    ((1, 1.0), (0, 1.0)),    # A2 swaps the components
-    ((1, 1j), (0, -1j)),     # A3 swaps them times +i, -i
-)
+# (A_j v)_a = factor * v[source], stored as (source, factor) from the one
+# nonzero in each row of A_j (real factors for the real A1 and A2).
+_PAULI_ACTION = tuple(
+    tuple(zip(np.nonzero(a)[1].tolist(), a[a != 0].tolist()))
+    for a in map(np.real_if_close, algebra.pauli_matrices()))
 
 
 def diff4(f: np.ndarray, axis: int, h: float, out: np.ndarray | None = None,
           scaled: bool = True) -> np.ndarray:
-    """d/dx along ``axis``: 4th-order central stencils in the interior,
-    4th-order one-sided within two cells of the ends.
-
-    The result is written to ``out`` when given (C-contiguous, f's
-    shape and dtype, not overlapping f), and nothing else is allocated.
-    ``scaled=False`` leaves out the factor 1/(12 h), for callers that
-    fold it into their own coefficients.
-    """
-    f = np.ascontiguousarray(f)
-    if out is None:
-        out = np.empty_like(f)
-    elif not out.flags.c_contiguous or out.dtype != f.dtype:
-        raise ValueError("out must be C-contiguous with f's dtype")
-    axis %= f.ndim
-    # Interior on the flat arrays: one node along `axis` is `step`
-    # elements.  The two end rows on each side pick up wrong neighbours
-    # here and are overwritten by the closures below.
-    step = int(np.prod(f.shape[axis + 1:]))
-    g, o = f.reshape(-1), out.reshape(-1)
-    size = g.size
-    inner = o[2 * step:size - 2 * step]
-    axpy = get_blas_funcs("axpy", (g,))
-    np.subtract(g[:size - 4 * step], g[4 * step:], out=inner)
-    axpy(g[3 * step:size - step], inner, a=8.0)
-    axpy(g[step:size - 3 * step], inner, a=-8.0)
-    # End rows: the closures are real, so they act on the float view,
-    # whose last axis interleaves re and im when f is complex.
-    width = 2 if np.iscomplexobj(f) else 1
-    g, o = f.view(f.real.dtype), out.view(f.real.dtype)
-    if axis < f.ndim - 1:
-        g, o = (a.reshape(-1, f.shape[axis], width * step) for a in (g, o))
-        np.matmul(_EDGE_LOW, g[:, :5], out=o[:, :2])
-        np.matmul(_EDGE_HIGH, g[:, -5:], out=o[:, -2:])
-    else:
-        g, o = (a.reshape(-1, a.shape[-1]) for a in (g, o))
-        low, high = _EDGE_LAST[width]
-        np.matmul(g[:, :5 * width], low, out=o[:, :2 * width])
-        np.matmul(g[:, -5 * width:], high, out=o[:, -2 * width:])
-    if scaled:
-        out *= 1.0 / (12.0 * h)
-    return out
+    """d/dx along ``axis`` by ``FOURTH``: 4th-order central stencils in
+    the interior, 4th-order one-sided within two cells of the ends.
+    Arguments as for ``derivative``; ``scaled=False`` leaves out the
+    factor 1/(12 h)."""
+    return derivative(FOURTH, f, axis, h, out=out, scaled=scaled)
 
 
 class Workspace:
@@ -287,7 +342,7 @@ class Workspace:
 
     def __init__(self, grid: Grid, profiles):
         shape = (3, 2) + tuple(grid.shape)
-        self.coef = [[(b, -c / (12.0 * h)) for b, c in _PAULI_ACTION[j]]
+        self.coef = [[(b, -c / (FOURTH.den * h)) for b, c in _PAULI_ACTION[j]]
                      for j, h in enumerate(grid.spacing)]
         self.sigma = []
         for j, (prof, x) in enumerate(zip(profiles, grid.axes)):
@@ -444,7 +499,8 @@ class Recording:
     dt: float
     times: list = field(default_factory=list)
     traces: list = field(default_factory=list)  # (2, n1, n2, n3) at stride
-    splits: list = field(default_factory=list)  # optional (3, 2, ...)
+    # always empty; kept while perfbench/spans.py reads it
+    splits: list = field(default_factory=list)
     probe_points: tuple = ()
     probe_times: list = field(default_factory=list)
     probe_values: list = field(default_factory=list)  # (nprobe, 2) per step
@@ -464,20 +520,21 @@ def _probe_indices(grid: Grid, probes) -> tuple:
 
 def run(config: SimConfig, profiles, source: SourceSpec | None) -> Recording:
     """March the split system to T, recording probes every step and the
-    trace (optionally the splits) every ``stride`` steps."""
+    trace every ``stride`` steps."""
     if hasattr(profiles, "profiles"):
         profiles = profiles.profiles
     grid = config.grid
     dt = config.cfl * float(np.min(grid.spacing))
     nsteps = int(np.ceil(config.T / dt))
     dt = config.T / nsteps
-    sig_max = max(float(np.max(p(np.linspace(-b, b, 101))))
-                  for p, b in zip(profiles, grid.box.h))
+    work = Workspace(grid, profiles)
+    # sigma_j grows with |x_j|, so it peaks on the faces: grid nodes
+    sig_max = max((float(np.max(s)) for s in work.sigma if s is not None),
+                  default=0.0)
     if sig_max * dt > 1.0:
         warnings.warn("sigma0 * dt exceeds 1; explicit absorption may be "
                       "inaccurate", stacklevel=2)
     state = SplitState.zeros(grid)
-    work = Workspace(grid, profiles)
     rec = Recording(grid, dt, probe_points=tuple(config.probes))
     pidx = _probe_indices(grid, config.probes)
 
@@ -485,8 +542,6 @@ def run(config: SimConfig, profiles, source: SourceSpec | None) -> Recording:
         if istep % config.stride == 0 or istep == nsteps:
             rec.times.append(st.t)
             rec.traces.append(st.trace)
-            if config.record_splits:
-                rec.splits.append(st.U.copy())
         if pidx:
             rec.probe_times.append(st.t)
             rec.probe_values.append(
@@ -510,30 +565,6 @@ def _boundary_norm_sq(grid: Grid, s: np.ndarray) -> float:
     return total
 
 
-def _inv_sqrt_helmholtz(grid: Grid, g: np.ndarray) -> np.ndarray:
-    """(I - Laplacian_h)^{-1/2} g via the cosine transform that
-    diagonalizes the 3-point Neumann Laplacian on each axis."""
-    from scipy.fft import dctn, idctn  # only this term needs scipy.fft
-
-    h = grid.spacing
-    eig = 1.0
-    for j, n in enumerate(grid.shape):
-        lam = (2.0 - 2.0 * np.cos(np.pi * np.arange(n) / (n - 1))) / h[j] ** 2
-        shape = [1, 1, 1]
-        shape[j] = n
-        eig = eig + lam.reshape(shape)
-    scale = 1.0 / np.sqrt(eig)
-
-    def apply(real):
-        coef = dctn(real, type=1, axes=(0, 1, 2), norm="ortho")
-        return idctn(scale * coef, type=1, axes=(0, 1, 2), norm="ortho")
-
-    out = np.empty_like(g)
-    for c in range(g.shape[0]):
-        out[c] = apply(g[c].real) + 1j * apply(g[c].imag)
-    return out
-
-
 def _time_weights(times: np.ndarray) -> np.ndarray:
     w = np.zeros_like(times)
     dt = np.diff(times)
@@ -543,39 +574,18 @@ def _time_weights(times: np.ndarray) -> np.ndarray:
 
 
 def weighted_norms(rec: Recording, lam: float) -> dict:
-    """Exponentially weighted space-time norms of the recorded run.
-
-    Returns volume and boundary norms of e^{-lam t} s and, when the
-    splits were recorded, the dual-norm term for {lam U^j, d_t U^j}
-    measured through one discrete (I - Laplacian)^{-1/2} application.
-    """
+    """Exponentially weighted space-time norms of the recorded run:
+    the volume and boundary norms of e^{-lam t} s."""
     grid = rec.grid
     times = np.asarray(rec.times)
     wt = _time_weights(times)
-    vol = bdry = dual = 0.0
-    have_splits = len(rec.splits) == len(rec.times) and len(rec.splits) > 0
+    vol = bdry = 0.0
     for i, t in enumerate(times):
         damp = np.exp(-2.0 * lam * t)
         s = rec.traces[i]
         vol += wt[i] * damp * grid.norm(s) ** 2
         bdry += wt[i] * damp * _boundary_norm_sq(grid, s)
-        if have_splits:
-            if 0 < i < len(times) - 1:
-                dU = (rec.splits[i + 1] - rec.splits[i - 1]) \
-                    / (times[i + 1] - times[i - 1])
-            elif i == 0:
-                dU = (rec.splits[1] - rec.splits[0]) / (times[1] - times[0])
-            else:
-                dU = (rec.splits[i] - rec.splits[i - 1]) \
-                    / (times[i] - times[i - 1])
-            acc = 0.0
-            for j in range(3):
-                for g in (lam * rec.splits[i][j], dU[j]):
-                    acc += grid.norm(_inv_sqrt_helmholtz(grid, g)) ** 2
-            dual += wt[i] * damp * acc
-    out = {"volume": float(np.sqrt(vol)), "boundary": float(np.sqrt(bdry))}
-    out["dual"] = float(np.sqrt(dual)) if have_splits else float("nan")
-    return out
+    return {"volume": float(np.sqrt(vol)), "boundary": float(np.sqrt(bdry))}
 
 
 def _simpson_weights(times: np.ndarray) -> np.ndarray:

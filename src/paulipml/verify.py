@@ -19,8 +19,8 @@ import numpy as np
 from .geometry import (BoxDomain, RoundedBox, BoundaryPoint,
                        rounded_box_point, sample_boundary, singular_distance)
 from .stretching import AbsorptionProfile, StretchContext
-from .timedomain import (Grid, SimConfig, gaussian_source, run,
-                         laplace_of_trace)
+from .timedomain import (CENTERED2, Grid, SimConfig, derivative,
+                         gaussian_source, run, laplace_of_trace)
 from . import algebra, freqdomain, timedomain
 
 __all__ = [
@@ -882,7 +882,7 @@ def laplace_consistency(grid: Grid, profiles, tau_set, T: float = 10.0,
         # split reconstruction
         vsum = np.zeros_like(v)
         for j in range(3):
-            dv = freqdomain._centered(v, j + 1, hsp[j])
+            dv = derivative(CENTERED2, v, j + 1, hsp[j])
             vsum += (src.weights[j] * fhat
                      - np.einsum("ab,b...->a...", A[j], dv)) \
                 * r[..., j] / tau
@@ -913,7 +913,7 @@ def _grad_norm(grid: Grid, u: np.ndarray) -> float:
     h = grid.spacing
     acc = 0.0
     for j in range(3):
-        acc += grid.norm(freqdomain._centered(u, j + 1, h[j])) ** 2
+        acc += grid.norm(derivative(CENTERED2, u, j + 1, h[j])) ** 2
     return float(np.sqrt(acc))
 
 

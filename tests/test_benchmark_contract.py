@@ -6,12 +6,14 @@ import dataclasses
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from paulipml import freqdomain
 from paulipml.geometry import BoxDomain
 from paulipml.stretching import StretchContext
-from paulipml.timedomain import Grid, Recording, SimConfig, gaussian_source
+from paulipml.timedomain import (Grid, Recording, SimConfig, gaussian_source,
+                                 run, weighted_norms)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -45,6 +47,16 @@ def test_recording_and_config_keep_the_traced_fields():
     assert {"traces", "splits", "probe_values"} <= fields
     grid = Grid(BoxDomain((1.0, 1.0, 1.0)), (5, 5, 5))
     assert SimConfig(grid, lam=2.0).lam == 2.0
+
+
+def test_weighted_norms_keep_the_gated_keys(workloads):
+    """td_laplace gates the weighted volume and boundary norms of a run."""
+    grid = Grid(workloads.box(), (7, 7, 7))
+    src = gaussian_source(grid, width=0.15 * workloads.HALF, t_off=0.5)
+    rec = run(SimConfig(grid, T=0.5, stride=2), workloads.profiles(), src)
+    norms = weighted_norms(rec, workloads.TD_LAMBDA)
+    for key in ("volume", "boundary"):
+        assert np.isfinite(norms[key]) and norms[key] > 0, key
 
 
 def test_solve_meets_the_fd_sweep_gate(workloads):
