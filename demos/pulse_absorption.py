@@ -15,7 +15,8 @@ import numpy as np
 
 from paulipml.geometry import BoxDomain
 from paulipml.stretching import AbsorptionProfile
-from paulipml.timedomain import Grid, SimConfig, gaussian_source, run
+from paulipml.timedomain import (FrameSeries, Grid, SimConfig,
+                                 gaussian_source, run)
 
 n = int(sys.argv[1]) if len(sys.argv) > 1 else 17
 sigma0 = float(sys.argv[2]) if len(sys.argv) > 2 else 8.0
@@ -25,24 +26,22 @@ grid = Grid(box, (n, n, n))
 source = gaussian_source(grid, width=0.15, t_off=1.0)
 config = SimConfig(grid, cfl=0.5, T=4.0, stride=4)
 
-runs = {}
+# each run streams the trace norm of its frames and keeps no frame
+norms = {}
 for label, profiles in (
         ("absorbing", tuple(AbsorptionProfile(a=0.5, b=1.0, sigma0=sigma0)
                             for _ in range(3))),
         ("bare", tuple(AbsorptionProfile.zero(1.0) for _ in range(3)))):
-    rec = run(config, profiles, source)
-    runs[label] = rec
+    norms[label] = FrameSeries(grid.norm)
+    rec = run(config, profiles, source, reducers=[norms[label]])
     print(f"{label}: {len(rec.times)} frames, dt = {rec.dt:.4f}")
 
-rec_a, rec_b = runs["absorbing"], runs["bare"]
+norm_a, norm_b = norms["absorbing"].values, norms["bare"].values
 print(f"\n{'t':>6}  {'|s| absorbing':>14}  {'|s| bare':>10}")
-for i, t in enumerate(rec_a.times):
-    na = grid.norm(rec_a.traces[i])
-    nb = grid.norm(rec_b.traces[i])
-    bar = "#" * int(40 * na / max(grid.norm(s) for s in rec_a.traces))
+for t, na, nb in zip(norms["absorbing"].times, norm_a, norm_b):
+    bar = "#" * int(40 * na / max(norm_a))
     print(f"{t:6.2f}  {na:14.5e}  {nb:10.3e}  {bar}")
 
-final_a = grid.norm(rec_a.traces[-1])
-final_b = grid.norm(rec_b.traces[-1])
+final_a, final_b = norm_a[-1], norm_b[-1]
 print(f"\nfinal trace norm: absorbing {final_a:.3e} vs bare {final_b:.3e}"
       f"  (ratio {final_a / final_b:.3f})")

@@ -55,8 +55,8 @@ from pathlib import Path
 from .errors import ParseError, ValidationError
 from .geometry import BoxDomain
 from .stretching import AbsorptionProfile, StretchContext
-from .timedomain import (Grid, SimConfig, gaussian_source, run,
-                         weighted_norms, write_probes, write_snapshot)
+from .timedomain import (Grid, LastFrame, SimConfig, WeightedNorms,
+                         gaussian_source, run, write_probes, write_snapshot)
 from . import freqdomain, verify
 
 __all__ = ["ExperimentConfig", "parse_config", "run_experiment", "main"]
@@ -230,15 +230,16 @@ def _timedomain(cfg: ExperimentConfig, o: _Output):
                           width=0.15 * cfg.half_length)
     cfgsim = SimConfig(grid, cfl=cfg.cfl, T=cfg.T, probes=((0.0, 0.0, 0.0),),
                        stride=cfg.stride, lam=cfg.lam)
-    rec = run(cfgsim, cfg.profiles(), src)
+    norms, last = WeightedNorms(cfg.lam), LastFrame()
+    rec = run(cfgsim, cfg.profiles(), src, reducers=[norms, last])
     write_probes(o.path("probes.csv"), rec)
-    write_snapshot(o.path("final_trace.bin"), rec.traces[-1], grid.spacing,
+    write_snapshot(o.path("final_trace.bin"), last.frame, grid.spacing,
                    rec.times[-1])
     o.path("final_trace.bin.hdr")
     o.emit(verify.CheckReport("timedomain_run",
                               params={"grid": list(grid.shape),
                                       "T": cfg.T, "lambda": cfg.lam},
-                              measured=weighted_norms(rec, cfg.lam)))
+                              measured=norms.value()))
 
 
 def _freqdomain(cfg: ExperimentConfig, o: _Output):

@@ -19,8 +19,10 @@ nested Horner levels z <- y + c (L z + e f), z = y at the start, with
 f0, fm, f1 the envelopes at t, t + dt/2, t + dt; this equals the staged
 y + dt/6 (k1 + 2 k2 + 2 k3 + k4) exactly.  The module also holds the
 derivative-stencil table that both solvers read, and provides
-probe/snapshot recording, exponentially weighted space-time norms, and
-the truncated Laplace transform of the trace.
+probe/snapshot recording and the reducers that fold the recorded frames
+into results as they are produced: exponentially weighted space-time
+norms, the truncated Laplace transform of the trace, and per-frame
+series.
 """
 
 from __future__ import annotations
@@ -54,6 +56,12 @@ __all__ = [
     "apply_boundary",
     "step",
     "run",
+    "Reducer",
+    "LaplaceTransform",
+    "WeightedNorms",
+    "FrameSeries",
+    "LastFrame",
+    "replay",
     "weighted_norms",
     "laplace_of_trace",
     "write_snapshot",
@@ -493,7 +501,8 @@ def step(state: SplitState, profiles, source: SourceSpec | None,
 
 @dataclass
 class Recording:
-    """Append-only record of a run."""
+    """Append-only record of a run.  ``traces`` holds the frames only
+    when ``run`` was called without reducers."""
 
     grid: Grid
     dt: float
@@ -518,9 +527,28 @@ def _probe_indices(grid: Grid, probes) -> tuple:
                  for j, x in enumerate(grid.axes))
 
 
-def run(config: SimConfig, profiles, source: SourceSpec | None) -> Recording:
+def _frames(nsteps: int, stride: int, dt: float) -> dict:
+    """The steps whose states ``run`` records as frames, each with its
+    time accumulated as the states accumulate t + dt per step, so that
+    it equals the state's time bit for bit."""
+    t, frames = 0.0, {0: 0.0}
+    for istep in range(1, nsteps + 1):
+        t = t + dt
+        if istep % stride == 0 or istep == nsteps:
+            frames[istep] = t
+    return frames
+
+
+def run(config: SimConfig, profiles, source: SourceSpec | None,
+        reducers=None) -> Recording:
     """March the split system to T, recording probes every step and the
-    trace every ``stride`` steps."""
+    trace every ``stride`` steps (and after the last step).
+
+    Without ``reducers`` the frames are kept in ``traces``.  Otherwise
+    none is kept: each reducer is started with the grid and the times
+    of all frames, then given every frame (t, s) in order, s a fresh
+    array it may keep.  The times and probes are recorded either way.
+    """
     if hasattr(profiles, "profiles"):
         profiles = profiles.profiles
     grid = config.grid
@@ -537,11 +565,20 @@ def run(config: SimConfig, profiles, source: SourceSpec | None) -> Recording:
     state = SplitState.zeros(grid)
     rec = Recording(grid, dt, probe_points=tuple(config.probes))
     pidx = _probe_indices(grid, config.probes)
+    keep = reducers is None
+    reducers = () if keep else tuple(reducers)
+    frames = _frames(nsteps, config.stride, dt)
+    for r in reducers:
+        r.start(grid, list(frames.values()))
 
     def record(st, istep):
-        if istep % config.stride == 0 or istep == nsteps:
+        if istep in frames:
             rec.times.append(st.t)
-            rec.traces.append(st.trace)
+            s = st.trace
+            if keep:
+                rec.traces.append(s)
+            for r in reducers:
+                r.add(st.t, s)
         if pidx:
             rec.probe_times.append(st.t)
             rec.probe_values.append(
@@ -554,7 +591,7 @@ def run(config: SimConfig, profiles, source: SourceSpec | None) -> Recording:
     return rec
 
 
-# -- norms and transforms ---------------------------------------------
+# -- reducers: norms, transforms and series of the frames ------------------
 
 def _boundary_norm_sq(grid: Grid, s: np.ndarray) -> float:
     """Trapezoidal L2 norm squared of a field over the six faces."""
@@ -571,21 +608,6 @@ def _time_weights(times: np.ndarray) -> np.ndarray:
     w[:-1] += 0.5 * dt
     w[1:] += 0.5 * dt
     return w
-
-
-def weighted_norms(rec: Recording, lam: float) -> dict:
-    """Exponentially weighted space-time norms of the recorded run:
-    the volume and boundary norms of e^{-lam t} s."""
-    grid = rec.grid
-    times = np.asarray(rec.times)
-    wt = _time_weights(times)
-    vol = bdry = 0.0
-    for i, t in enumerate(times):
-        damp = np.exp(-2.0 * lam * t)
-        s = rec.traces[i]
-        vol += wt[i] * damp * grid.norm(s) ** 2
-        bdry += wt[i] * damp * _boundary_norm_sq(grid, s)
-    return {"volume": float(np.sqrt(vol)), "boundary": float(np.sqrt(bdry))}
 
 
 def _simpson_weights(times: np.ndarray) -> np.ndarray:
@@ -614,6 +636,123 @@ def _simpson_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
+class Reducer:
+    """Folds the frames of a run into a result as they are produced.
+    ``start(grid, times)`` is called once with the times of every frame
+    to come, then ``add(t, s)`` once per frame in order; ``run`` and
+    ``replay`` are the two drivers.  Quadratures read their weights from
+    ``times``, so a streamed result equals its replay bit for bit."""
+
+    def start(self, grid: Grid, times) -> None:
+        self.grid = grid
+        self.times = np.asarray(times, dtype=float)
+        self.count = 0
+
+    def add(self, t: float, s: np.ndarray) -> None:
+        raise NotImplementedError
+
+
+class LaplaceTransform(Reducer):
+    """Truncated Laplace transform int_0^T e^{-tau t} s(t, x) dt by
+    composite Simpson quadrature on the frame times (``value()``)."""
+
+    def __init__(self, tau: complex):
+        self.tau = tau
+
+    def start(self, grid: Grid, times) -> None:
+        super().start(grid, times)
+        self.weights = _simpson_weights(self.times)
+        self.out = None
+
+    def add(self, t: float, s: np.ndarray) -> None:
+        if self.out is None:
+            self.out = np.zeros(s.shape, np.result_type(s, self.tau))
+            self.axpy = get_blas_funcs("axpy", (self.out,))
+        self.axpy(s.reshape(-1), self.out.reshape(-1),
+                  a=self.weights[self.count] * np.exp(-self.tau * t))
+        self.count += 1
+        if self.count == len(self.times):
+            self.last_norm = self.grid.norm(s)
+
+    def value(self) -> np.ndarray:
+        """The transform.  Warns (TruncationWarning) when the estimated
+        tail exceeds 1% of the result norm."""
+        tau = self.tau
+        tail = (abs(np.exp(-tau * self.times[-1])) * self.last_norm
+                / max(complex(tau).real, 1e-30))
+        nrm = self.grid.norm(self.out)
+        if nrm > 0 and tail > 0.01 * nrm:
+            warnings.warn(f"Laplace tail estimate {tail:.2e} exceeds 1% of "
+                          f"|u^| = {nrm:.2e}", TruncationWarning, stacklevel=2)
+        return self.out
+
+
+class WeightedNorms(Reducer):
+    """Exponentially weighted space-time norms, trapezoidal in time: the
+    volume and boundary norms of e^{-lam t} s (``value()``)."""
+
+    def __init__(self, lam: float):
+        self.lam = lam
+
+    def start(self, grid: Grid, times) -> None:
+        super().start(grid, times)
+        self.weights = _time_weights(self.times)
+        self.vol = self.bdry = 0.0
+
+    def add(self, t: float, s: np.ndarray) -> None:
+        w = self.weights[self.count] * np.exp(-2.0 * self.lam * t)
+        self.vol += w * self.grid.norm(s) ** 2
+        self.bdry += w * _boundary_norm_sq(self.grid, s)
+        self.count += 1
+
+    def value(self) -> dict:
+        return {"volume": float(np.sqrt(self.vol)),
+                "boundary": float(np.sqrt(self.bdry))}
+
+
+class FrameSeries(Reducer):
+    """``f(s)`` of each frame so far in ``values``, frame i at
+    ``times[i]``."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def start(self, grid: Grid, times) -> None:
+        super().start(grid, times)
+        self.values = []
+
+    def add(self, t: float, s: np.ndarray) -> None:
+        self.values.append(self.f(s))
+
+
+class LastFrame(Reducer):
+    """The latest frame, ``frame``."""
+
+    def add(self, t: float, s: np.ndarray) -> None:
+        self.frame = s
+
+
+def replay(rec: Recording, *reducers):
+    """Feed the frames kept in ``rec`` through ``reducers`` as ``run``
+    would have fed them; returns the reducers."""
+    if len(rec.traces) != len(rec.times):
+        raise ValueError("the recording keeps no frames to replay; pass "
+                         "the reducers to run instead")
+    for r in reducers:
+        r.start(rec.grid, rec.times)
+    for t, s in zip(rec.times, rec.traces):
+        for r in reducers:
+            r.add(t, s)
+    return reducers
+
+
+def weighted_norms(rec: Recording, lam: float) -> dict:
+    """Exponentially weighted space-time norms of the recorded run:
+    the volume and boundary norms of e^{-lam t} s."""
+    norms, = replay(rec, WeightedNorms(lam))
+    return norms.value()
+
+
 def laplace_of_trace(rec: Recording, tau: complex) -> np.ndarray:
     """Truncated Laplace transform int_0^T e^{-tau t} s(t, x) dt by
     composite Simpson quadrature on the recorded stride.
@@ -621,21 +760,8 @@ def laplace_of_trace(rec: Recording, tau: complex) -> np.ndarray:
     Warns (TruncationWarning) when the estimated tail exceeds 1% of the
     result norm.
     """
-    times = np.asarray(rec.times)
-    w = _simpson_weights(times)
-    out = np.zeros(rec.traces[0].shape, np.result_type(rec.traces[0], tau))
-    axpy = get_blas_funcs("axpy", (out,))
-    flat = out.reshape(-1)
-    for wi, t, s in zip(w, times, rec.traces):
-        axpy(s.reshape(-1), flat, a=wi * np.exp(-tau * t))
-    grid = rec.grid
-    tail = (abs(np.exp(-tau * times[-1])) * grid.norm(rec.traces[-1])
-            / max(tau.real if isinstance(tau, complex) else tau, 1e-30))
-    nrm = grid.norm(out)
-    if nrm > 0 and tail > 0.01 * nrm:
-        warnings.warn(f"Laplace tail estimate {tail:.2e} exceeds 1% of "
-                      f"|u^| = {nrm:.2e}", TruncationWarning, stacklevel=2)
-    return out
+    transform, = replay(rec, LaplaceTransform(tau))
+    return transform.value()
 
 
 # -- external formats -------------------------------------------------

@@ -19,8 +19,10 @@ import numpy as np
 from .geometry import (BoxDomain, RoundedBox, BoundaryPoint,
                        rounded_box_point, sample_boundary, singular_distance)
 from .stretching import AbsorptionProfile, StretchContext
-from .timedomain import (CENTERED2, Grid, SimConfig, derivative,
-                         gaussian_source, run, laplace_of_trace)
+from .timedomain import (CENTERED2, FrameSeries, Grid, LaplaceTransform,
+                         Reducer, SimConfig, derivative, gaussian_source, run)
+# unused here; perfbench/test_smoke.py patches and restores this binding
+from .timedomain import laplace_of_trace  # noqa: F401
 from . import algebra, freqdomain, timedomain
 
 __all__ = [
@@ -634,15 +636,17 @@ def check_coercivity(profiles, grid: Grid, tau_list, n_fields: int = 100,
         raise ValueError("no nonzero trial fields; check the seed")
     parts = [[z.real for z in asm0.form_parts(u, np.conj(u))]
              for u in fields]
+    del asm0  # one assembly at a time bounds the memory
     rows = []
     global_min = np.inf
     for tau in tau_list:
         tau = complex(tau)
-        ctx = StretchContext(tau, tuple(profiles))
-        asm = freqdomain.assemble_helmholtz(ctx, grid)
+        asm = freqdomain.assemble_helmholtz(
+            StretchContext(tau, tuple(profiles)), grid)
+        avals = [abs(asm.form(u, np.conj(u))) for u in fields]
+        del asm
         rmin = np.inf
-        for u, (k0, m0, b0) in zip(fields, parts):
-            aval = abs(asm.form(u, np.conj(u)))
+        for aval, (k0, m0, b0) in zip(avals, parts):
             bundle = (abs(tau) * tau.real * m0
                       + (tau.real / abs(tau)) * (abs(tau) * b0 + k0))
             if bundle <= 0:
@@ -763,22 +767,37 @@ def _inner_mask(grid: Grid, a: float) -> np.ndarray:
             & masks[2][None, None, :])
 
 
-def _reflection_metric(rec, rec_ref, a: float) -> float:
-    """max_t ||u - u_ref||_{L2(inner)} / max_t ||u_ref||_{L2(inner)}."""
-    m_run = _inner_mask(rec.grid, a)
-    m_ref = _inner_mask(rec_ref.grid, a)
-    vol = float(np.prod(rec.grid.spacing))
-    worst = 0.0
-    peak = 0.0
-    nt = min(len(rec.times), len(rec_ref.times))
-    for i in range(nt):
-        u = rec.traces[i][:, m_run]
-        ur = rec_ref.traces[i][:, m_ref]
-        diff = np.sqrt(np.sum(np.abs(u - ur) ** 2) * vol)
-        nref = np.sqrt(np.sum(np.abs(ur) ** 2) * vol)
-        worst = _worse(worst, diff)
-        peak = _worse(peak, nref)
-    return worst / max(peak, 1e-300)
+class _InnerDifference(Reducer):
+    """max_t ||u - u_ref||_{L2(inner)} / max_t ||u_ref||_{L2(inner)} of
+    the frames against ``ref``, a FrameSeries of the reference's frames
+    on the inner region |x_j| <= a (``value()``).  Frames are paired by
+    time: a frame without a reference frame at the same time raises
+    ValueError."""
+
+    def __init__(self, ref: FrameSeries, a: float):
+        self.ref, self.a = ref, a
+
+    def start(self, grid: Grid, times) -> None:
+        super().start(grid, times)
+        self.mask = _inner_mask(grid, self.a)
+        self.vol = float(np.prod(grid.spacing))
+        self.worst = self.peak = 0.0
+
+    def add(self, t: float, s: np.ndarray) -> None:
+        i, ref = self.count, self.ref
+        if i >= len(ref.values) or not np.isclose(t, ref.times[i],
+                                                  rtol=1e-12, atol=1e-12):
+            raise ValueError(f"frame {i} at t = {t:.6g} has no reference "
+                             "frame at the same time")
+        ur = ref.values[i]
+        diff = np.sqrt(np.sum(np.abs(s[:, self.mask] - ur) ** 2) * self.vol)
+        nref = np.sqrt(np.sum(np.abs(ur) ** 2) * self.vol)
+        self.worst = _worse(self.worst, diff)
+        self.peak = _worse(self.peak, nref)
+        self.count += 1
+
+    def value(self) -> float:
+        return self.worst / max(self.peak, 1e-300)
 
 
 def reflection_experiment(h: float = 1.0 / 16.0, a: float = 0.5,
@@ -788,11 +807,29 @@ def reflection_experiment(h: float = 1.0 / 16.0, a: float = 0.5,
     """Pulse runs with and without absorbing layers against an enlarged
     reference domain that the wave cannot traverse within T.
 
-    The metric compares the trace on the common inner region |x_j| <= a.
-    Asserted: every layered run reflects less than the bare run, and the
-    metric decreases as the layer widens.  No quantitative rate is
-    claimed.
+    The metric compares the trace on the common inner region |x_j| <= a,
+    frame by frame; the reference keeps only its inner-region frames
+    and each layered run streams against them.  Asserted: every layered
+    run reflects less than the bare run, and the metric decreases as the
+    layer widens.  No quantitative rate is claimed.
+
+    The grids have spacing h and must share the reference's nodes, so
+    2 ref_half / h and (ref_half - a - width) / h must be integers; a
+    width or ref_half that breaks this raises ValueError before any run.
     """
+    def off_lattice(length):
+        k = length / h
+        return abs(k - round(k)) > 1e-9 * max(1.0, abs(k))
+
+    if off_lattice(2 * ref_half):
+        raise ValueError(f"ref_half = {ref_half!r} is not a multiple of "
+                         f"h/2 = {h / 2!r}")
+    for width in widths:
+        if off_lattice(ref_half - a - width):
+            raise ValueError(f"layer width {width!r} puts the grid's nodes "
+                             f"off the reference's: ref_half - a - width "
+                             f"must be a multiple of h = {h!r}")
+
     def make_grid(half):
         n = int(round(2 * half / h)) + 1
         box = BoxDomain((half, half, half), inner_fraction=a / half)
@@ -804,9 +841,13 @@ def reflection_experiment(h: float = 1.0 / 16.0, a: float = 0.5,
 
     stride = 2
     g_ref = make_grid(ref_half)
+    m_ref = _inner_mask(g_ref, a)
+    ref = FrameSeries(lambda s: s[:, m_ref])
+    # the reference against itself, fed each frame right after ``ref``
+    self_diff = _InnerDifference(ref, a)
     zero_ref = tuple(AbsorptionProfile.zero(ref_half) for _ in range(3))
-    rec_ref = run(SimConfig(g_ref, cfl=cfl, T=T, stride=stride),
-                  zero_ref, make_source(g_ref))
+    run(SimConfig(g_ref, cfl=cfl, T=T, stride=stride), zero_ref,
+        make_source(g_ref), reducers=[ref, self_diff])
 
     pml_vals, bare_vals = [], []
     for width in widths:
@@ -816,11 +857,12 @@ def reflection_experiment(h: float = 1.0 / 16.0, a: float = 0.5,
                     for _ in range(3))
         bare = tuple(AbsorptionProfile.zero(half) for _ in range(3))
         for vals, profs in ((pml_vals, pml), (bare_vals, bare)):
-            rec = run(SimConfig(g, cfl=cfl, T=T, stride=stride), profs,
-                      make_source(g))
-            vals.append(_reflection_metric(rec, rec_ref, a))
+            diff = _InnerDifference(ref, a)
+            run(SimConfig(g, cfl=cfl, T=T, stride=stride), profs,
+                make_source(g), reducers=[diff])
+            vals.append(diff.value())
 
-    self_metric = _reflection_metric(rec_ref, rec_ref, a)
+    self_metric = self_diff.value()
     rows = [list(r) for r in zip(widths, pml_vals, bare_vals)]
     return CheckReport(
         "reflection",
@@ -857,20 +899,23 @@ def laplace_consistency(grid: Grid, profiles, tau_set, T: float = 10.0,
     A time-domain run is transformed at each tau and compared with the
     frequency-domain solve whose source is F = sum_j tau f_j / (tau +
     sigma_j).  The split components V^j = (f_j - A_j d_j v)/(tau +
-    sigma_j) are also reconstructed and summed back to v.
+    sigma_j) are also reconstructed and summed back to v.  The run
+    streams its frames into one transform per tau.
     """
     src = gaussian_source(grid, width=source_width, t_off=t_off)
-    rec = run(SimConfig(grid, cfl=cfl, T=T, stride=1), tuple(profiles), src)
+    transforms = [LaplaceTransform(complex(tau)) for tau in tau_set]
+    run(SimConfig(grid, cfl=cfl, T=T, stride=1), tuple(profiles), src,
+        reducers=transforms)
     A = algebra.pauli_matrices()
     pts = np.moveaxis(grid.mesh(), 0, -1)
     hsp = grid.spacing
     rows = []
     worst_rel = 0.0
     worst_split = 0.0
-    for tau in tau_set:
-        tau = complex(tau)
+    for transform in transforms:
+        tau = transform.tau
         ctx = StretchContext(tau, tuple(profiles))
-        uhat = laplace_of_trace(rec, tau)
+        uhat = transform.value()
         fhat = src.spatial * _raised_cosine_hat(tau, t_off)
         r = ctx.ratios(pts)[None]  # tau/(tau + sigma_j) at the nodes
         F = np.zeros_like(fhat)
@@ -1015,7 +1060,8 @@ def check_stability(profiles, grid_sizes=(17, 25),
     lam of the grid, (b) the ratio does not grow under grid refinement
     at fixed lam, and (c) a long run over ``transit_factor``
     box-crossing times never exceeds its source switch-off maximum by
-    more than 0.1%.
+    more than 0.1%.  The runs keep no frames, only their per-frame
+    norms and maxima.
     """
     box = BoxDomain((half,) * 3, inner_fraction=0.5)
     t_off = 1.0
@@ -1025,12 +1071,13 @@ def check_stability(profiles, grid_sizes=(17, 25),
     for n in grid_sizes:
         grid = Grid(box, (int(n),) * 3)
         src = gaussian_source(grid, width=0.12, t_off=t_off)
-        rec = run(SimConfig(grid, cfl=cfl, T=T, stride=2),
-                  tuple(profiles), src)
-        times = np.asarray(rec.times)
+        norms_sq = FrameSeries(lambda s: grid.norm(s) ** 2)
+        run(SimConfig(grid, cfl=cfl, T=T, stride=2), tuple(profiles), src,
+            reducers=[norms_sq])
+        times = norms_sq.times
         wt = timedomain._time_weights(times)
         nspat = grid.norm(src.spatial)
-        sq = [grid.norm(s) ** 2 for s in rec.traces]
+        sq = norms_sq.values
         for lam in lams:
             u2 = sum(w * np.exp(-2 * lam * t) * s2
                      for w, t, s2 in zip(wt, times, sq))
@@ -1050,10 +1097,11 @@ def check_stability(profiles, grid_sizes=(17, 25),
     grid = Grid(box, (int(grid_sizes[0]),) * 3)
     src = gaussian_source(grid, width=0.12, t_off=t_off)
     T_long = transit_factor * 2.0 * half
-    rec = run(SimConfig(grid, cfl=cfl, T=T_long, stride=4),
-              tuple(profiles), src)
-    times = np.asarray(rec.times)
-    maxima = np.array([np.max(np.abs(s)) for s in rec.traces])
+    peaks = FrameSeries(lambda s: np.max(np.abs(s)))
+    run(SimConfig(grid, cfl=cfl, T=T_long, stride=4), tuple(profiles), src,
+        reducers=[peaks])
+    times = peaks.times
+    maxima = np.array(peaks.values)
     i_off = int(np.searchsorted(times, t_off))
     m_off = float(np.max(maxima[:i_off + 1]))
     m_after = float(np.max(maxima[i_off:]))

@@ -501,6 +501,87 @@ def test_weighted_norms_without_splits(grid, bump_profiles):
     assert rec.splits == []
 
 
+# -- reducers: streamed frames against kept-frame replays -----------------
+
+# (T, stride, cfl, frame count) on a 9^3 unit-box grid.  At cfl 0.5,
+# dt = 0.125: odd frame count; even frame count; short off-stride final
+# frame after an odd count; the same after an even count.  At cfl 0.4,
+# dt = 0.1 is not a binary fraction, so t + dt summed per step differs
+# from istep * dt (from step 6 on).
+_SCHEDULES = [(1.0, 1, 0.5, 9), (0.875, 1, 0.5, 8), (0.875, 2, 0.5, 5),
+              (1.125, 2, 0.5, 6), (1.1, 3, 0.4, 5)]
+
+
+@pytest.mark.parametrize("T, stride, cfl, count", _SCHEDULES)
+def test_frame_times_are_the_run_times(unit_box, zero_profiles, T, stride,
+                                       cfl, count):
+    grid = td.Grid(unit_box, (9, 9, 9))
+    rec = td.run(td.SimConfig(grid, cfl=cfl, T=T, stride=stride),
+                 zero_profiles, None)
+    nsteps = int(round(T / rec.dt))
+    assert rec.times == list(td._frames(nsteps, stride, rec.dt).values())
+    assert len(rec.times) == len(rec.traces) == count
+
+
+@pytest.mark.parametrize("T, stride, cfl, count", _SCHEDULES)
+def test_streamed_reducers_equal_replays(unit_box, bump_profiles, T, stride,
+                                         cfl, count):
+    """Every reducer gives bit for bit the result of replaying the kept
+    frames, for odd and even frame counts and an off-stride last frame."""
+    grid = td.Grid(unit_box, (9, 9, 9))
+    cfg = td.SimConfig(grid, cfl=cfl, T=T, stride=stride,
+                       probes=((0.0, 0.0, 0.0),))
+    src = td.gaussian_source(grid, width=0.15, t_off=0.5)
+    taus = (2.0, 2.0 + 1.0j)
+
+    def reducers():
+        return ([td.LaplaceTransform(tau) for tau in taus]
+                + [td.WeightedNorms(1.0),
+                   td.FrameSeries(lambda s: grid.norm(s) ** 2),
+                   td.LastFrame()])
+
+    streamed = reducers()
+    rec_s = td.run(cfg, bump_profiles, src, reducers=streamed)
+    rec = td.run(cfg, bump_profiles, src)
+    replayed = td.replay(rec, *reducers())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        for i, tau in enumerate(taus):
+            got = streamed[i].value()
+            assert np.array_equal(got, replayed[i].value())
+            assert np.array_equal(got, td.laplace_of_trace(rec, tau))
+    assert streamed[2].value() == replayed[2].value() \
+        == td.weighted_norms(rec, 1.0)
+    assert streamed[3].values == replayed[3].values
+    assert streamed[3].times.tolist() == rec.times
+    assert np.array_equal(streamed[4].frame, rec.traces[-1])
+    # the streamed run keeps its times and probes but no frames
+    assert rec_s.traces == []
+    assert rec_s.times == rec.times
+    assert np.array_equal(rec_s.probe_series(), rec.probe_series())
+
+
+def test_replay_of_a_streamed_recording_raises(unit_box, zero_profiles):
+    grid = td.Grid(unit_box, (9, 9, 9))
+    rec = td.run(td.SimConfig(grid, cfl=0.5, T=0.5), zero_profiles, None,
+                 reducers=[td.LastFrame()])
+    with pytest.raises(ValueError, match="no frames"):
+        td.weighted_norms(rec, 1.0)
+
+
+def test_laplace_tail_reads_the_last_frame(grid):
+    """A trace that is off by the last frame has no truncation tail."""
+    g = np.ones((2, 13, 13, 13), dtype=complex)
+    times = np.linspace(0.0, 0.5, 51)
+    transform = td.LaplaceTransform(0.5)
+    transform.start(grid, times)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in times:
+            transform.add(t, g if t < 0.25 else 0.0 * g)
+        assert grid.norm(transform.value()) > 0
+
+
 def test_snapshot_round_trip(tmp_path, rng):
     field = (rng.standard_normal((2, 4, 5, 6))
              + 1j * rng.standard_normal((2, 4, 5, 6)))

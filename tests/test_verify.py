@@ -3,11 +3,15 @@ fields, fast identity checks with their negative controls, and
 determinism."""
 
 import signal
+import warnings
 
 import numpy as np
 import pytest
 
 from paulipml import cli, verify
+from paulipml.errors import TruncationWarning
+from paulipml.timedomain import (FrameSeries, SimConfig, gaussian_source,
+                                 replay, run)
 from paulipml.geometry import (BoxDomain, RoundedBox, rounded_box_point,
                                sample_boundary, singular_distance)
 from paulipml.stretching import AbsorptionProfile, StretchContext
@@ -606,3 +610,95 @@ def test_nan_discrepancy_fails_identity_check(monkeypatch):
     rep = verify.check_neumann_identity("sphere", n_points=6)
     assert np.isnan(rep.measured["discrepancy"])
     assert not rep.passed
+
+
+# -- streamed time-domain checks ----------------------------------------
+
+def test_time_domain_checks_keep_no_frames(monkeypatch):
+    """check_stability, laplace_consistency and reflection_experiment
+    stream their runs: no Recording they get back holds a frame."""
+    recs = []
+    real_run = verify.run
+
+    def spy(*args, **kwargs):
+        recs.append(real_run(*args, **kwargs))
+        return recs[-1]
+
+    monkeypatch.setattr(verify, "run", spy)
+    box = BoxDomain((1.0,) * 3, inner_fraction=0.5)
+    verify.check_stability(_profiles(), grid_sizes=(9, 11), lam_set=(1.0,),
+                           T=1.0, transit_factor=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        verify.laplace_consistency(verify.Grid(box, (9, 9, 9)), _profiles(),
+                                   (2.0, 2.0 + 1.0j), T=2.0)
+    verify.reflection_experiment(h=0.125, sigma0=10.0, T=0.5)
+    assert len(recs) == 3 + 1 + 5
+    assert all(rec.times for rec in recs)
+    assert [len(rec.traces) for rec in recs] == [0] * len(recs)
+
+
+def test_streamed_reflection_metric_equals_replay():
+    """Each layered metric equals the comparator replayed over kept
+    frames bit for bit, and the self metric is exactly 0."""
+    h, a, T, sigma0, ref_half = 0.125, 0.5, 1.0, 10.0, 1.75
+    rep = verify.reflection_experiment(h=h, a=a, T=T, sigma0=sigma0,
+                                       ref_half=ref_half)
+
+    def kept_run(half, profs):
+        n = int(round(2 * half / h)) + 1
+        grid = verify.Grid(BoxDomain((half,) * 3, inner_fraction=a / half),
+                           (n, n, n))
+        src = gaussian_source(grid, width=0.08, t_off=0.5,
+                              polarization=(1.0, 0.5j))
+        return run(SimConfig(grid, cfl=0.5, T=T, stride=2), profs, src)
+
+    rec_ref = kept_run(ref_half, tuple(AbsorptionProfile.zero(ref_half)
+                                       for _ in range(3)))
+    mask = verify._inner_mask(rec_ref.grid, a)
+    ref, = replay(rec_ref, FrameSeries(lambda s: s[:, mask]))
+    for i, width in enumerate((0.25, 0.5)):
+        half = a + width
+        for key, profs in (
+                ("pml", tuple(AbsorptionProfile(a=a, b=half, sigma0=sigma0)
+                              for _ in range(3))),
+                ("bare", tuple(AbsorptionProfile.zero(half)
+                               for _ in range(3)))):
+            diff, = replay(kept_run(half, profs),
+                           verify._InnerDifference(ref, a))
+            assert diff.value() == rep.measured[key][i]
+    assert rep.measured["self_metric"] == 0.0
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"widths": (0.26, 0.5)}, "0.26"),
+    # a multiple of h/2 but not of h: 8 inner nodes per axis against 9
+    ({"widths": (0.3125,)}, "0.3125"),
+    ({"ref_half": 1.8}, "1.8"),
+])
+def test_reflection_rejects_off_lattice_grids_before_any_run(
+        monkeypatch, kwargs, name):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(verify, "run", no_run)
+    with pytest.raises(ValueError, match=name):
+        verify.reflection_experiment(h=0.125, **kwargs)
+
+
+def test_inner_difference_pairs_frames_by_time(unit_box):
+    """A run whose frame times differ from the reference's raises
+    instead of comparing frames by index."""
+    grid = verify.Grid(unit_box, (9, 9, 9))
+    src = gaussian_source(grid, width=0.15, t_off=0.5)
+    ref = FrameSeries(lambda s: s[:, verify._inner_mask(grid, 0.5)])
+    run(SimConfig(grid, cfl=0.5, T=0.5, stride=1), _profiles(), src,
+        reducers=[ref])
+    # five frames each, at t = 0, 0.25, ... against 0, 0.125, ...
+    with pytest.raises(ValueError, match="no reference frame"):
+        run(SimConfig(grid, cfl=0.5, T=1.0, stride=2), _profiles(), src,
+            reducers=[verify._InnerDifference(ref, 0.5)])
+    # more frames than the reference
+    with pytest.raises(ValueError, match="no reference frame"):
+        run(SimConfig(grid, cfl=0.5, T=0.625, stride=1), _profiles(), src,
+            reducers=[verify._InnerDifference(ref, 0.5)])
