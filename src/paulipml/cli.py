@@ -171,6 +171,10 @@ def parse_config(path) -> ExperimentConfig:
             f"kind: {cfg.kind!r} not one of {', '.join(_KINDS)}")
     if not 0 < cfg.cfl <= 1:
         value_errors.append(f"cfl: {cfg.cfl} outside (0, 1]")
+    if cfg.profile_kind not in AbsorptionProfile.KINDS:
+        value_errors.append(
+            f"profile kind: {cfg.profile_kind!r} not one of "
+            f"{', '.join(AbsorptionProfile.KINDS)}")
     if cfg.sigma0 < 0:
         value_errors.append(f"sigma0: {cfg.sigma0} must be >= 0")
     if not 0 < cfg.delta < 1:
@@ -229,7 +233,7 @@ def _timedomain(cfg: ExperimentConfig, o: _Output):
     src = gaussian_source(grid, t_off=min(1.0, cfg.T),
                           width=0.15 * cfg.half_length)
     cfgsim = SimConfig(grid, cfl=cfg.cfl, T=cfg.T, probes=((0.0, 0.0, 0.0),),
-                       stride=cfg.stride, lam=cfg.lam)
+                       stride=cfg.stride)
     norms, last = WeightedNorms(cfg.lam), LastFrame()
     rec = run(cfgsim, cfg.profiles(), src, reducers=[norms, last])
     write_probes(o.path("probes.csv"), rec)
@@ -284,7 +288,7 @@ _RUNNERS = {
     "check:coercivity": lambda cfg, o: o.emit(verify.check_coercivity(
         cfg.profiles(), cfg.grid(), cfg.taus, seed=cfg.seed)),
     "check:m_bounds": lambda cfg, o: o.emit(verify.check_m_bounds(
-        cfg.box(), cfg.profiles(), [cfg.delta], cfg.taus, seed=cfg.seed)),
+        cfg.box(), cfg.profiles(), [cfg.delta], cfg.taus)),
     "check:reflection": lambda cfg, o: o.emit(verify.reflection_experiment(
         sigma0=max(cfg.sigma0, 1.0), cfl=cfg.cfl)),
     "check:laplace": lambda cfg, o: o.emit(verify.laplace_consistency(

@@ -49,6 +49,8 @@ class AbsorptionProfile:
     bump is infinitely flat there.  Both reach sigma0 at |s| = b.
     """
 
+    KINDS = ("polynomial_bump", "smooth_bump")  # not a field: no annotation
+
     a: float
     b: float
     sigma0: float = 0.0
@@ -60,7 +62,7 @@ class AbsorptionProfile:
             raise ValueError("need 0 <= a < b")
         if self.sigma0 < 0:
             raise ValueError("sigma0 must be nonnegative")
-        if self.kind not in ("polynomial_bump", "smooth_bump"):
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.kind == "polynomial_bump" and self.order < 1:
             raise ValueError("polynomial bump order must be >= 1")

@@ -62,6 +62,7 @@ __all__ = [
     "FrameSeries",
     "LastFrame",
     "replay",
+    "exp_weights",
     "weighted_norms",
     "laplace_of_trace",
     "write_snapshot",
@@ -104,6 +105,16 @@ class Grid:
         w = self._trap_weights
         return float(np.sqrt(np.sum(w * np.abs(field) ** 2)
                              * self.cell_volume()))
+
+    def boundary_norm_sq(self, field) -> float:
+        """Trapezoidal L2 norm squared of a (2, n1, n2, n3) field over
+        the six faces."""
+        total = 0.0
+        for _, axis, _, _, index in faces():
+            face = field[(slice(None),) + index]
+            total += float(np.sum(self._face_weights[axis]
+                                  * np.abs(face) ** 2))
+        return total
 
     @cached_property
     def _trap_weights(self) -> np.ndarray:
@@ -300,6 +311,9 @@ def gaussian_source(grid: Grid, width: float = 0.1, center=(0.0, 0.0, 0.0),
 
 @dataclass(frozen=True)
 class SimConfig:
+    """``lam`` is read nowhere (``WeightedNorms`` takes its own); it
+    stays because ``perfbench/`` passes it."""
+
     grid: Grid
     cfl: float = 0.5
     T: float = 1.0
@@ -339,7 +353,7 @@ class Workspace:
     """Everything the kernel would otherwise rebuild per call: the
     absorption on each axis, the folded coefficients of -A_j d_j, and
     the state and scratch buffers.  ``run`` builds one and passes it to
-    every ``step``; a bare ``rhs`` or ``step`` builds its own.
+    every ``step``, which passes it to every ``rhs``.
 
     ``coef[j]`` holds one (source, factor) pair per output component,
     the factor being -(A_j)_{a,source} / (12 h_j).  ``sigma[j]`` is
@@ -370,33 +384,22 @@ def _envelope(source: SourceSpec | None, t: float) -> float:
     return source.envelope(t)
 
 
-def rhs(state: SplitState, profiles, source: SourceSpec | None,
-        t: float, grid: Grid, work: Workspace | None = None,
-        out: np.ndarray | None = None, scale: float = 1.0,
-        base: np.ndarray | None = None,
-        env: float | None = None) -> np.ndarray:
+def rhs(state: SplitState, source: SourceSpec | None, grid: Grid,
+        work: Workspace, out: np.ndarray, scale: float, base: np.ndarray,
+        env: float) -> np.ndarray:
     """One level of the split operator,
 
         out_j = base_j + scale (-sigma_j U^j - A_j d_j s + env f_j),
 
-    s the trace and f_j = w_j times the source's spatial profile.  With
-    the defaults (no base, scale 1, env the source envelope at t, 0
-    where the source is off) this is the time derivative d_t U^j.
-
-    The result is written to ``out`` (default: a fresh array), which
-    must be C-contiguous and overlap neither U nor ``base``.  Each split field is formed
-    from base and the absorption term, then the derivative and source
-    terms are added by BLAS axpy on the flat arrays.
+    s the trace and f_j = w_j times the source's spatial profile.  The
+    result is written to ``out``, which must be C-contiguous and overlap
+    neither U nor ``base``.  Each split field is formed from base and the
+    absorption term, then the derivative and source terms are added by
+    BLAS axpy on the flat arrays.
     """
-    if work is None:
-        work = Workspace(grid, profiles)
     U = state.U
-    if out is None:
-        out = np.empty_like(U)
-    elif not out.flags.c_contiguous:
+    if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
-    if env is None:
-        env = _envelope(source, t)
     s = np.add(U[0], U[1], out=work.trace)
     s += U[2]
     axpy = get_blas_funcs("axpy", (out,))
@@ -405,12 +408,9 @@ def rhs(state: SplitState, profiles, source: SourceSpec | None,
         o = out[j]
         if work.sigma[j] is not None:
             np.multiply(U[j], -scale * work.sigma[j], out=o)
-            if base is not None:
-                axpy(base[j].reshape(-1), o.reshape(-1))
-        elif base is not None:
-            np.copyto(o, base[j])
+            axpy(base[j].reshape(-1), o.reshape(-1))
         else:
-            o.fill(0.0)
+            np.copyto(o, base[j])
         d = diff4(s, j + 1, h[j], out=work.scratch, scaled=False)
         for a, (b, c) in enumerate(work.coef[j]):
             axpy(d[b].reshape(-1), o[a].reshape(-1), a=scale * c)
@@ -441,8 +441,8 @@ def apply_boundary(state: SplitState, grid: Grid) -> SplitState:
     return state
 
 
-def step(state: SplitState, profiles, source: SourceSpec | None,
-         dt: float, grid: Grid, work: Workspace | None = None) -> SplitState:
+def step(state: SplitState, source: SourceSpec | None, dt: float,
+         grid: Grid, work: Workspace) -> SplitState:
     """One classical Runge-Kutta step; the boundary projection is
     applied once, after the combined update.  Projecting the internal
     stages as well looks more accurate but couples the face correction
@@ -471,11 +471,8 @@ def step(state: SplitState, profiles, source: SourceSpec | None,
 
     ``state`` is left untouched.  The levels alternate between the two
     of the workspace's three state buffers that do not hold
-    ``state.U``, so successive steps rotate through them; without a
-    workspace the result is a fresh array.
+    ``state.U``, so successive steps rotate through them.
     """
-    if work is None:
-        work = Workspace(grid, profiles)
     t = state.t
     y = state.U
     bufs = [buf for buf in work.states if buf is not y]
@@ -484,8 +481,7 @@ def step(state: SplitState, profiles, source: SourceSpec | None,
               (dt / 2, (f0 + 2 * fm) / 3), (dt, (f0 + 4 * fm + f1) / 6))
     z = y
     for i, (c, e) in enumerate(levels):
-        z = rhs(SplitState(z, t), profiles, source, t, grid, work=work,
-                out=bufs[i % 2], scale=c, base=y, env=e)
+        z = rhs(SplitState(z, t), source, grid, work, bufs[i % 2], c, y, e)
     out = apply_boundary(SplitState(z, t + dt), grid)
     # max |U| lies in [r, sqrt(2) r], r the largest |Re| or |Im|, so the
     # exact magnitude is needed only when sqrt(2) r reaches the guard
@@ -549,8 +545,6 @@ def run(config: SimConfig, profiles, source: SourceSpec | None,
     of all frames, then given every frame (t, s) in order, s a fresh
     array it may keep.  The times and probes are recorded either way.
     """
-    if hasattr(profiles, "profiles"):
-        profiles = profiles.profiles
     grid = config.grid
     dt = config.cfl * float(np.min(grid.spacing))
     nsteps = int(np.ceil(config.T / dt))
@@ -586,21 +580,12 @@ def run(config: SimConfig, profiles, source: SourceSpec | None,
 
     record(state, 0)
     for istep in range(1, nsteps + 1):
-        state = step(state, profiles, source, dt, grid, work=work)
+        state = step(state, source, dt, grid, work)
         record(state, istep)
     return rec
 
 
 # -- reducers: norms, transforms and series of the frames ------------------
-
-def _boundary_norm_sq(grid: Grid, s: np.ndarray) -> float:
-    """Trapezoidal L2 norm squared of a field over the six faces."""
-    total = 0.0
-    for _, axis, _, _, index in faces():
-        face = s[(slice(None),) + index]
-        total += float(np.sum(grid._face_weights[axis] * np.abs(face) ** 2))
-    return total
-
 
 def _time_weights(times: np.ndarray) -> np.ndarray:
     w = np.zeros_like(times)
@@ -608,6 +593,14 @@ def _time_weights(times: np.ndarray) -> np.ndarray:
     w[:-1] += 0.5 * dt
     w[1:] += 0.5 * dt
     return w
+
+
+def exp_weights(times, lam: float) -> np.ndarray:
+    """The weight of each frame's squared norm in the trapezoid sum for
+    ||e^{-lam t} s||^2 over the frame times: the trapezoid weight times
+    e^{-2 lam t}."""
+    times = np.asarray(times, dtype=float)
+    return _time_weights(times) * np.exp(-2.0 * lam * times)
 
 
 def _simpson_weights(times: np.ndarray) -> np.ndarray:
@@ -696,13 +689,13 @@ class WeightedNorms(Reducer):
 
     def start(self, grid: Grid, times) -> None:
         super().start(grid, times)
-        self.weights = _time_weights(self.times)
+        self.weights = exp_weights(self.times, self.lam)
         self.vol = self.bdry = 0.0
 
     def add(self, t: float, s: np.ndarray) -> None:
-        w = self.weights[self.count] * np.exp(-2.0 * self.lam * t)
+        w = self.weights[self.count]
         self.vol += w * self.grid.norm(s) ** 2
-        self.bdry += w * _boundary_norm_sq(self.grid, s)
+        self.bdry += w * self.grid.boundary_norm_sq(s)
         self.count += 1
 
     def value(self) -> dict:
@@ -769,15 +762,9 @@ def laplace_of_trace(rec: Recording, tau: complex) -> np.ndarray:
 def write_snapshot(path, field: np.ndarray, spacing, time: float) -> None:
     """Flat binary of little-endian float64 (re, im) pairs,
     component-major, x-fastest, with a sidecar text header."""
-    field = np.asarray(field, dtype=complex)
+    field = np.asarray(field)
     comp, n1, n2, n3 = field.shape
-    with open(path, "wb") as fh:
-        for c in range(comp):
-            flat = field[c].ravel(order="F")
-            buf = np.empty(2 * flat.size)
-            buf[0::2] = flat.real
-            buf[1::2] = flat.imag
-            fh.write(buf.astype("<f8").tobytes())
+    field.transpose(0, 3, 2, 1).astype("<c16").tofile(path)
     with open(str(path) + ".hdr", "w") as fh:
         fh.write(f"dims {n1} {n2} {n3}\n")
         fh.write("spacing " + " ".join(f"{s:.17g}" for s in spacing) + "\n")
@@ -798,14 +785,8 @@ def read_snapshot(path):
     spacing = tuple(float(v) for v in header["spacing"])
     time = float(header["time"][0])
     ncomp = len(header["components"])
-    raw = np.fromfile(path, dtype="<f8")
-    field = np.empty((ncomp, n1, n2, n3), dtype=complex)
-    per = 2 * n1 * n2 * n3
-    for c in range(ncomp):
-        chunk = raw[c * per:(c + 1) * per]
-        flat = chunk[0::2] + 1j * chunk[1::2]
-        field[c] = flat.reshape((n1, n2, n3), order="F")
-    return field, spacing, time
+    field = np.fromfile(path, dtype="<c16").reshape(ncomp, n3, n2, n1)
+    return field.transpose(0, 3, 2, 1), spacing, time
 
 
 def write_probes(path, rec: Recording) -> None:

@@ -229,6 +229,18 @@ def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unknown_profile_kind_is_a_config_error(tmp_path, capsys):
+    """A profile kind that AbsorptionProfile rejects is caught at parse
+    time, before the output directory exists."""
+    text = "[experiment]\nkind = timedomain\n[profile]\nkind = gaussian\n"
+    with pytest.raises(ValidationError, match="profile kind: 'gaussian'"):
+        cli.parse_config(_write(tmp_path, text))
+    out = tmp_path / "out"
+    assert cli.main([str(_write(tmp_path, text)), "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture
 def acceptance_01_to_03(monkeypatch):
     """The registry cut to its criteria 01-03, which run in a second."""

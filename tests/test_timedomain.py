@@ -2,6 +2,7 @@
 energy behaviour, recordings, transforms, and external formats."""
 
 import csv
+import functools
 import warnings
 
 import numpy as np
@@ -142,7 +143,8 @@ def test_diff4_matches_reference_on_every_axis(rng):
 
 
 # -- the derivative-stencil table.  CENTERED2 and PROBE are checked
-# against their stencils written out row by row on moved axes.
+# against their stencils written out row by row on moved axes, and two
+# rescaled records of CENTERED2 against CENTERED2 itself.
 
 def _ref_centered(u, axis, h):
     """Centered d/dx on the full array (one-sided 2nd order at ends)."""
@@ -169,9 +171,16 @@ def _ref_probe(u, axis, h):
 
 @pytest.mark.parametrize("complex_field", [False, True])
 @pytest.mark.parametrize("axis", [1, 2, 3, -1])
-@pytest.mark.parametrize("stencil, ref", [(td.CENTERED2, _ref_centered),
-                                          (td.PROBE, _ref_probe)],
-                         ids=["CENTERED2", "PROBE"])
+@pytest.mark.parametrize("stencil, ref", [
+    (td.CENTERED2, _ref_centered),
+    (td.PROBE, _ref_probe),
+    # CENTERED2 with widest interior coefficient +-1/2 and denominator
+    # +-1, so the widest difference is scaled by |c_m|
+    (td.Stencil(((1, 0.5),), np.array([[-1.5, 2.0, -0.5]]), 1.0),
+     functools.partial(td.derivative, td.CENTERED2)),
+    (td.Stencil(((1, -0.5),), np.array([[1.5, -2.0, 0.5]]), -1.0),
+     functools.partial(td.derivative, td.CENTERED2))],
+    ids=["CENTERED2", "PROBE", "CENTERED2_half", "CENTERED2_mirrored_half"])
 def test_stencil_matches_reference(rng, stencil, ref, axis, complex_field):
     f = rng.standard_normal((2, 9, 10, 11))
     if complex_field:
@@ -227,15 +236,15 @@ def test_pauli_action_table_matches_the_matrices(rng):
 
 @pytest.mark.parametrize("t", [0.3, 1.5])  # source live, then off
 def test_fused_rhs_matches_reference(skew_setup, t):
+    """On a zero base with scale 1 and the source envelope at t, one
+    level is the time derivative; twice through one workspace."""
     grid, profiles, source, U = skew_setup
     want = _ref_rhs(U, profiles, source, t, grid)
-    got = td.rhs(td.SplitState(U.copy(), t), profiles, source, t, grid)
-    assert _rel(got, want) < 1e-13
-    # the same through a reused workspace, twice
     work = td.Workspace(grid, profiles)
+    base = np.zeros_like(U)
     for _ in range(2):
-        got = td.rhs(td.SplitState(U, t), profiles, source, t, grid,
-                     work=work)
+        got = td.rhs(td.SplitState(U, t), source, grid, work,
+                     np.empty_like(U), 1.0, base, td._envelope(source, t))
         assert _rel(got, want) < 1e-13
 
 
@@ -245,7 +254,8 @@ def test_rhs_rejects_a_strided_out(skew_setup):
     grid, profiles, source, U = skew_setup
     out = np.empty(U.shape[:-1] + (2 * U.shape[-1],), complex)[..., ::2]
     with pytest.raises(ValueError, match="C-contiguous"):
-        td.rhs(td.SplitState(U, 0.3), profiles, source, 0.3, grid, out=out)
+        td.rhs(td.SplitState(U, 0.3), source, grid,
+               td.Workspace(grid, profiles), out, 1.0, np.zeros_like(U), 1.0)
 
 
 def test_fused_steps_match_reference(skew_setup):
@@ -273,7 +283,7 @@ def _check_fused_steps(grid, profiles, source, U):
     state = td.SplitState(U.copy(), 0.0)
     ref, t = U.copy(), 0.0
     for _ in range(8):
-        state = td.step(state, profiles, source, dt, grid, work=work)
+        state = td.step(state, source, dt, grid, work)
         ref = _ref_step(ref, t, profiles, source, dt, grid)
         t += dt
         assert state.t == pytest.approx(t)
@@ -301,15 +311,19 @@ def test_run_keeps_the_traced_call_chain(monkeypatch, unit_box,
                      "diff4": 12 * nsteps}
 
 
-def test_bare_step_returns_a_fresh_array(grid, bump_profiles, rng):
+def test_step_leaves_its_input_untouched(grid, bump_profiles, rng):
+    """A step writes none of its input, neither a caller's array nor the
+    workspace buffer that the previous step returned."""
     U = rng.standard_normal((3, 2, 13, 13, 13)) + 0j
     state = td.SplitState(U.copy(), 0.2)
     src = td.gaussian_source(grid, t_off=1.0)
-    out = td.step(state, bump_profiles, src, 0.05, grid)
+    work = td.Workspace(grid, bump_profiles)
+    out = td.step(state, src, 0.05, grid, work)
     assert np.array_equal(state.U, U) and state.t == 0.2
     assert not np.shares_memory(out.U, state.U)
-    again = td.step(state, bump_profiles, src, 0.05, grid)
-    assert np.array_equal(again.U, out.U)
+    first = out.U.copy()
+    again = td.step(out, src, 0.05, grid, work)
+    assert np.array_equal(out.U, first)
     assert not np.shares_memory(again.U, out.U)
 
 
@@ -328,7 +342,7 @@ def test_trapezoid_weights_are_the_tensor_product(rng):
         i1, i2 = [i for i in range(3) if i != axis]
         face = np.take(g, idx, axis=axis + 1)
         bd += np.sum(np.outer(w[i1], w[i2]) * h[i1] * h[i2] * face ** 2)
-    assert td._boundary_norm_sq(grid, g) == pytest.approx(bd, rel=1e-14)
+    assert grid.boundary_norm_sq(g) == pytest.approx(bd, rel=1e-14)
 
 
 def test_apply_boundary_kills_incoming_trace(grid, rng):
@@ -406,9 +420,10 @@ def test_stability_error_on_blowup(grid, zero_profiles):
     state = td.SplitState.zeros(grid)
     state.U[:] = 1.0
     huge_dt = 50.0 * np.min(grid.spacing)
+    work = td.Workspace(grid, zero_profiles)
     with pytest.raises(StabilityError):
         for _ in range(200):
-            state = td.step(state, zero_profiles, None, huge_dt, grid)
+            state = td.step(state, None, huge_dt, grid, work)
 
 
 def test_sigma_dt_warning(unit_box):
