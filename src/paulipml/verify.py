@@ -352,11 +352,11 @@ def _ladder(residual, steps, wrong):
     return vals, fit_order(vals, steps[0] / steps[1]), control
 
 
-def _box_steps(steps, delta: float):
-    """``steps``, or by default (0.02, 0.01) scaled by delta / 0.3, so
-    that the +-2h stencil stays on one patch of the rounded box."""
+def _box_steps(delta: float):
+    """(0.02, 0.01) scaled by delta / 0.3, so that the +-2h stencil
+    stays on one patch of the rounded box."""
     scale = delta / 0.3
-    return (0.02 * scale, 0.01 * scale) if steps is None else steps
+    return (0.02 * scale, 0.01 * scale)
 
 
 def _identity_report(name, params, ladder, order_min):
@@ -482,8 +482,7 @@ def _sample_patch_points(q: RoundedBox, n: int, seed: int) -> BoundaryPoint:
 
 
 def check_neumann_identity(surface: str = "sphere", n_points: int = 15,
-                           seed: int = 0, delta: float = 0.3,
-                           steps=None) -> CheckReport:
+                           seed: int = 0, delta: float = 0.3) -> CheckReport:
     """On the unit sphere or a rounded box, fields u = pi^+(nu(x)) w(x)
     with the normal extended constant along normal lines satisfy
 
@@ -494,8 +493,8 @@ def check_neumann_identity(surface: str = "sphere", n_points: int = 15,
     trace of the Weingarten map, is forced by the perturbation formula:
     each principal direction contributes kappa_i/2.  Checked by
     4th-order finite differences; the negative control doubles the
-    curvature term and must not converge.  On the rounded box the
-    default steps scale with delta.
+    curvature term and must not converge.  The steps are (0.02, 0.01),
+    on the rounded box scaled by delta / 0.3.
     """
     rng = np.random.default_rng(seed)
     w = TrigField(seed=seed + 1)
@@ -516,7 +515,7 @@ def check_neumann_identity(surface: str = "sphere", n_points: int = 15,
     def u_field(y):
         return _act(algebra.projector(+1, nu_ext(y)), w(y))
 
-    steps = _box_steps(steps, delta if surface == "rounded_box" else 0.3)
+    steps = _box_steps(delta if surface == "rounded_box" else 0.3)
     nu0 = nu_ext(x0)
     residual = _boundary_residual(u_field, x0, nu0, H, np.ones_like(x0), nu0)
     return _identity_report(
@@ -544,7 +543,7 @@ def check_transverse_identity(profiles, delta: float, tau_set,
     tolerance; holomorphy in tau makes the complex case a continuation
     of the real one.  The steps are (0.02, 0.01) scaled by delta / 0.3.
     """
-    steps = _box_steps(None, delta)
+    steps = _box_steps(delta)
     box = box or BoxDomain((1.0, 1.0, 1.0))
     q = RoundedBox(box, delta)
     bps = _sample_patch_points(q, n_points, seed)
@@ -800,35 +799,21 @@ class _InnerDifference(Reducer):
         return self.worst / max(self.peak, 1e-300)
 
 
-def reflection_experiment(h: float = 1.0 / 16.0, a: float = 0.5,
-                          widths=(0.25, 0.5), sigma0: float = 25.0,
-                          T: float = 2.0, cfl: float = 0.5,
-                          ref_half: float = 1.75) -> CheckReport:
+def reflection_experiment(sigma0: float = 25.0,
+                          cfl: float = 0.5) -> CheckReport:
     """Pulse runs with and without absorbing layers against an enlarged
-    reference domain that the wave cannot traverse within T.
+    reference domain that the wave cannot traverse within T = 2: the
+    inner box |x_j| <= a = 0.5, layers of width 0.25 and 0.5, and a
+    reference box of half-width 1.75, all on grids of spacing h = 1/16
+    that share the reference's nodes.
 
     The metric compares the trace on the common inner region |x_j| <= a,
     frame by frame; the reference keeps only its inner-region frames
     and each layered run streams against them.  Asserted: every layered
     run reflects less than the bare run, and the metric decreases as the
     layer widens.  No quantitative rate is claimed.
-
-    The grids have spacing h and must share the reference's nodes, so
-    2 ref_half / h and (ref_half - a - width) / h must be integers; a
-    width or ref_half that breaks this raises ValueError before any run.
     """
-    def off_lattice(length):
-        k = length / h
-        return abs(k - round(k)) > 1e-9 * max(1.0, abs(k))
-
-    if off_lattice(2 * ref_half):
-        raise ValueError(f"ref_half = {ref_half!r} is not a multiple of "
-                         f"h/2 = {h / 2!r}")
-    for width in widths:
-        if off_lattice(ref_half - a - width):
-            raise ValueError(f"layer width {width!r} puts the grid's nodes "
-                             f"off the reference's: ref_half - a - width "
-                             f"must be a multiple of h = {h!r}")
+    h, a, widths, T, ref_half = 1.0 / 16.0, 0.5, (0.25, 0.5), 2.0, 1.75
 
     def make_grid(half):
         n = int(round(2 * half / h)) + 1
@@ -1048,14 +1033,14 @@ def check_second_bc(profiles) -> CheckReport:
 # -- time-domain stability property ----------------------------------------
 
 def check_stability(profiles, grid_sizes=(17, 25),
-                    lam_set=(1.0, 2.0, 4.0, 8.0), T: float = 4.0,
+                    lam_set=(1.0, 2.0, 4.0, 8.0),
                     transit_factor: float = 10.0, cfl: float = 0.5,
                     half: float = 1.0) -> CheckReport:
     """Exponentially weighted norm ratio of the split solver and the
     long-run boundedness of the field.
 
     For each mesh and each weight lam, measures
-    lam ||e^{-lam t} u|| / ||e^{-lam t} f|| over [0, T] (space-time
+    lam ||e^{-lam t} u|| / ||e^{-lam t} f|| over [0, 4] (space-time
     norms, u the trace).  The dissipative energy estimate bounds this
     ratio by the constant 1, uniformly in lam; the pointwise ratio
     climbs toward that sharp constant as lam grows, so the check
@@ -1067,7 +1052,7 @@ def check_stability(profiles, grid_sizes=(17, 25),
     norms and maxima.
     """
     box = BoxDomain((half,) * 3, inner_fraction=0.5)
-    t_off = 1.0
+    t_off, T = 1.0, 4.0
     lams = list(lam_set) + [2.0 * max(lam_set)]
     ratios = {}
     rows = []
