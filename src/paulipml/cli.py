@@ -40,14 +40,17 @@ checks) and ``suite:acceptance``: the 12 acceptance criteria of
 ``verify.ACCEPTANCE`` at their fixed settings, which ignores every other
 config key and names each artifact ``<NN>_<title>``, NN the criterion.
 
-Exit codes: 0 all checks passed, 2 a check failed, 1 runtime error.
+Exit codes: 0 all checks passed, 2 a check failed, 1 a usage,
+configuration or runtime error.
 Every run writes a manifest listing its artifacts with content hashes.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -93,32 +96,44 @@ class ExperimentConfig:
         return Grid(self.box(), (self.n,) * 3)
 
 
-_KEYMAP = {
-    ("experiment", "kind"): ("kind", str),
-    ("experiment", "seed"): ("seed", int),
-    ("domain", "half_length"): ("half_length", float),
-    ("domain", "inner_fraction"): ("inner_fraction", float),
-    ("domain", "delta"): ("delta", float),
-    ("profile", "kind"): ("profile_kind", str),
-    ("profile", "sigma0"): ("sigma0", float),
-    ("profile", "start"): ("start", float),
-    ("profile", "order"): ("order", int),
-    ("grid", "n"): ("n", int),
-    ("freq", "tau"): ("taus", "taulist"),
-    ("time", "T"): ("T", float),
-    ("time", "cfl"): ("cfl", float),
-    ("time", "stride"): ("stride", int),
-    ("time", "lambda"): ("lam", float),
-}
+def _finite(text: str) -> float:
+    # NaN passes every range check below, so it is refused here
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text!r} is not finite")
+    return x
 
 
 def _parse_tau_list(text: str):
     out = []
     for part in text.replace(",", " ").split():
-        out.append(complex(part.replace("i", "j")))
+        # a trailing i is the unit; the i of inf is not
+        tau = complex(part[:-1] + "j" if part.endswith("i") else part)
+        if not cmath.isfinite(tau):
+            raise ValueError(f"{part!r} is not finite")
+        out.append(tau)
     if not out:
         raise ValueError("empty tau list")
     return tuple(out)
+
+
+_KEYMAP = {
+    ("experiment", "kind"): ("kind", str),
+    ("experiment", "seed"): ("seed", int),
+    ("domain", "half_length"): ("half_length", _finite),
+    ("domain", "inner_fraction"): ("inner_fraction", _finite),
+    ("domain", "delta"): ("delta", _finite),
+    ("profile", "kind"): ("profile_kind", str),
+    ("profile", "sigma0"): ("sigma0", _finite),
+    ("profile", "start"): ("start", _finite),
+    ("profile", "order"): ("order", int),
+    ("grid", "n"): ("n", int),
+    ("freq", "tau"): ("taus", _parse_tau_list),
+    ("time", "T"): ("T", _finite),
+    ("time", "cfl"): ("cfl", _finite),
+    ("time", "stride"): ("stride", int),
+    ("time", "lambda"): ("lam", _finite),
+}
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -156,13 +171,10 @@ def parse_config(path) -> ExperimentConfig:
                 continue
             attr, conv = spec
             try:
-                parsed = _parse_tau_list(val) if conv == "taulist" \
-                    else conv(val)
+                setattr(cfg, attr, conv(val))
             except ValueError as exc:
                 value_errors.append(
                     f"line {lineno}: bad value for {key}: {exc}")
-                continue
-            setattr(cfg, attr, parsed)
     if syntax_errors:
         raise ParseError("; ".join(syntax_errors))
 
@@ -318,8 +330,7 @@ def _write_manifest(out: Path, artifacts) -> Path:
     return mpath
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir,
-                   tolerance_scale: float = 1.0) -> int:
+def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
     """Execute one experiment; returns the process exit code."""
     output = _Output(Path(out_dir))
     try:
@@ -331,14 +342,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
     except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    verdicts = [r.verdict(tolerance_scale) for _, r in output.reports]
+    verdicts = [r.passed for _, r in output.reports]
     for (label, _), ok in zip(output.reports, verdicts):
         print(f"{label}: {'pass' if ok else 'FAIL'}")
     return 0 if all(verdicts) else 2
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors as ParseError, so they exit 1 like every
+    other config error; argparse itself would exit 2, the code of a
+    failed check."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="paulipml",
         description="split-field absorbing-layer experiment runner")
     ap.add_argument("config", nargs="?", help="experiment config file")
@@ -347,33 +367,23 @@ def main(argv=None) -> int:
                     help="override the config seed")
     ap.add_argument("--list", action="store_true",
                     help="list experiment kinds and exit")
-    ap.add_argument("--tolerance-scale", type=float, default=1.0,
-                    help="loosen (> 1) or tighten (< 1) every scalable "
-                         "criterion: upper bounds are multiplied by it, "
-                         "lower bounds divided; fixed criteria never move")
-    args = ap.parse_args(argv)
-    if args.list:
-        for k in _KINDS:
-            print(k)
-        return 0
-    if args.config is None:
-        ap.error("config file required unless --list is given")
-    if not 0 < args.tolerance_scale < float("inf"):
-        print(f"config error: --tolerance-scale {args.tolerance_scale} "
-              "must be finite and > 0", file=sys.stderr)
-        return 1
-    if args.seed is not None and args.seed < 0:
-        print(f"config error: --seed {args.seed} must be >= 0",
-              file=sys.stderr)
-        return 1
     try:
+        args = ap.parse_args(argv)
+        if args.list:
+            for k in _KINDS:
+                print(k)
+            return 0
+        if args.config is None:
+            raise ParseError("config file required unless --list is given")
+        if args.seed is not None and args.seed < 0:
+            raise ValidationError(f"--seed {args.seed} must be >= 0")
         cfg = parse_config(args.config)
     except (ParseError, ValidationError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     if args.seed is not None:
         cfg.seed = args.seed
-    return run_experiment(cfg, args.out, args.tolerance_scale)
+    return run_experiment(cfg, args.out)
 
 
 if __name__ == "__main__":

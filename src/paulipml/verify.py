@@ -56,38 +56,32 @@ _OPS = {"<": operator.lt, "<=": operator.le,
 @dataclass(frozen=True)
 class Criterion:
     """One pass condition on a report scalar, written
-    ``<name>: <key> <op> <bound> <scalable|fixed>``.
+    ``<name>: <key> <op> <bound>``.
 
     ``key`` names the scalar as ``<section>.<name>``, section one of
-    ``measured``, ``constants``, ``orders``.  At tolerance scale s a
-    scalable upper bound becomes ``bound * s`` and a scalable lower
-    bound ``bound / s``; a fixed criterion (a negative control, a
-    finiteness guard, an ordering) never moves.  NaN fails every op.
+    ``measured``, ``constants``, ``orders``.  The bound is the contract:
+    it never moves.  NaN fails every op.
     """
 
     name: str
     key: str
     op: str
     bound: float
-    scalable: bool = True
 
     @staticmethod
     def parse(text: str) -> "Criterion":
         name, rest = text.split(": ", 1)
-        key, op, bound, mode = rest.split()
-        if op not in _OPS or mode not in ("scalable", "fixed"):
+        parts = rest.split()
+        if len(parts) != 3 or parts[1] not in _OPS:
             raise ValueError(f"malformed criterion {text!r}")
-        return Criterion(name, key, op, float(bound), mode == "scalable")
+        key, op, bound = parts
+        return Criterion(name, key, op, float(bound))
 
     def __str__(self) -> str:
-        mode = "scalable" if self.scalable else "fixed"
-        return f"{self.name}: {self.key} {self.op} {self.bound} {mode}"
+        return f"{self.name}: {self.key} {self.op} {self.bound}"
 
-    def holds(self, value: float, scale: float = 1.0) -> bool:
-        bound = self.bound
-        if self.scalable:
-            bound = bound * scale if self.op[0] == "<" else bound / scale
-        return _OPS[self.op](float(value), bound)
+    def holds(self, value: float) -> bool:
+        return _OPS[self.op](float(value), self.bound)
 
     def margin(self, value: float) -> float:
         """Distance from value to the bound, positive when it holds."""
@@ -104,11 +98,10 @@ class CheckReport:
     ``criteria`` holds, so a report without criteria passes.
 
     Serializes to a text document: ``key: value`` lines for scalars
-    (sections check/verdict/param/measured/constant/order/tolerance/
-    criterion/note) followed by CSV tables, each opened by ``table:
-    <name>`` and closed by ``end-table``.  ``criterion.`` prefixes each
-    criterion's own line, and ``tolerance.<name>: <bound>`` repeats the
-    bound of each scalable one.
+    (sections check/verdict/param/measured/constant/order/criterion/
+    note) followed by CSV tables, each opened by ``table: <name>`` and
+    closed by ``end-table``.  ``criterion.`` prefixes each criterion's
+    own line.
     """
 
     name: str
@@ -124,25 +117,17 @@ class CheckReport:
         section, name = key.split(".", 1)
         return float(getattr(self, section)[name])
 
-    def verdict(self, scale: float = 1.0) -> bool:
-        """True when every criterion holds at tolerance scale ``scale``."""
-        if not 0 < scale < np.inf:
-            raise ValueError(f"tolerance scale {scale} must be finite and > 0")
-        return all(c.holds(self.value(c.key), scale) for c in self.criteria)
-
     @property
     def passed(self) -> bool:
-        return self.verdict()
+        return all(c.holds(self.value(c.key)) for c in self.criteria)
 
     def to_text(self) -> str:
         lines = [f"check: {self.name}",
                  f"verdict: {'pass' if self.passed else 'fail'}"]
-        tolerances = {c.name: c.bound for c in self.criteria if c.scalable}
         for prefix, d in (("param", self.params),
                           ("measured", self.measured),
                           ("constant", self.constants),
-                          ("order", self.orders),
-                          ("tolerance", tolerances)):
+                          ("order", self.orders)):
             for k in sorted(d):
                 lines.append(f"{prefix}.{k}: {d[k]}")
         lines += [f"criterion.{c}" for c in self.criteria]
@@ -251,7 +236,7 @@ def check_spectral_algebra() -> CheckReport:
         params={"n_directions": n_directions, "seed": seed},
         measured={"max_residual": worst},
         criteria=_criteria(
-            "residual_max: measured.max_residual <= 1e-10 scalable"),
+            "residual_max: measured.max_residual <= 1e-10"),
     )
 
 
@@ -292,8 +277,8 @@ def check_projector_perturbation() -> CheckReport:
         measured={"max_error": worst_err, "control_ratio": worst_ctrl},
         orders={"min_observed": worst_order},
         criteria=_criteria(
-            "order_min: orders.min_observed >= 1.9 scalable",
-            "control: measured.control_ratio > 10 fixed"),
+            "order_min: orders.min_observed >= 1.9",
+            "control: measured.control_ratio > 10"),
     )
 
 
@@ -371,8 +356,8 @@ def _identity_report(name, params, ladder, order_min):
                   "control_ratio": control / max(vals[-1], 1e-300)},
         orders={"observed": order},
         criteria=_criteria(
-            f"order_min: orders.observed >= {order_min} scalable",
-            "control: measured.control_ratio > 10 fixed"))
+            f"order_min: orders.observed >= {order_min}",
+            "control: measured.control_ratio > 10"))
 
 
 # -- stretched Helmholtz identity --------------------------------------
@@ -581,8 +566,8 @@ def check_transverse_identity(profiles, delta: float, tau_set,
                       ctrl / np.maximum(disc, 1e-300), initial=np.inf))},
         orders={"min_observed": float(np.min(order, initial=np.inf))},
         criteria=_criteria(
-            "order_min: orders.min_observed >= 1.8 scalable",
-            "control: measured.control_ratio > 10 fixed"),
+            "order_min: orders.min_observed >= 1.8",
+            "control: measured.control_ratio > 10"),
         tables={"per_tau": (["tau", "discrepancy", "order", "control"],
                             rows)},
     )
@@ -658,7 +643,7 @@ def check_coercivity(profiles, grid: Grid, tau_list, n_fields: int = 100,
                 "tau_list": [complex(t) for t in tau_list],
                 "n_fields": n_fields, "seed": seed},
         measured={"min_ratio": global_min},
-        criteria=_criteria("ratio_min: measured.min_ratio > 0 scalable"),
+        criteria=_criteria("ratio_min: measured.min_ratio > 0"),
         tables={"per_tau": (["tau", "min_ratio", "n_fields"], rows)},
     )
 
@@ -683,7 +668,7 @@ def check_coercivity_refinement(profiles, tau_list) -> CheckReport:
                 "n_fields": n_fields, "seed": seed},
         measured={"min_ratio": float(np.min(mins)),
                   "drift": abs(mins[0] - mins[-1]) / max(mins[-1], 1e-300)},
-        criteria=criteria + _criteria("drift: measured.drift <= 0.20 scalable"),
+        criteria=criteria + _criteria("drift: measured.drift <= 0.20"),
         tables={"per_mesh": (["n", "min_ratio"],
                              [list(r) for r in zip(grid_sizes, mins)])},
     )
@@ -748,9 +733,9 @@ def check_m_bounds(box: BoxDomain, profiles, delta_set, tau_set,
         constants={"sup_norm": float(sups.max()),
                    "grad_over_beta": grad_const},
         criteria=_criteria(
-            "face_far: measured.face_far_max <= 1e-12 scalable",
-            "sup_variation: measured.sup_variation <= 0.10 scalable",
-            "grad_finite: constants.grad_over_beta < inf fixed"),
+            "face_far: measured.face_far_max <= 1e-12",
+            "sup_variation: measured.sup_variation <= 0.10",
+            "grad_finite: constants.grad_over_beta < inf"),
         notes=["fractional-Sobolev interpolation bounds are not checked;"
                " only support, sup-norm and gradient bounds are"],
         tables={"per_case": (["delta", "tau", "sup_m", "face_far",
@@ -860,9 +845,9 @@ def reflection_experiment(sigma0: float = 25.0,
                   "max_pml_increase":
                       float(np.max(np.diff(pml_vals), initial=-np.inf))},
         criteria=_criteria(
-            "self_zero: measured.self_metric <= 0 fixed",
-            "ordered: measured.max_pml_minus_bare < 0 fixed",
-            "monotone: measured.max_pml_increase < 0 fixed"),
+            "self_zero: measured.self_metric <= 0",
+            "ordered: measured.max_pml_minus_bare < 0",
+            "monotone: measured.max_pml_increase < 0"),
         tables={"per_width": (["width", "pml_metric", "bare_metric"], rows)},
     )
 
@@ -931,8 +916,8 @@ def laplace_consistency(grid: Grid, profiles, tau_set, T: float = 10.0,
         measured={"max_rel_difference": worst_rel,
                   "max_split_residual": worst_split},
         criteria=_criteria(
-            "rel_difference: measured.max_rel_difference <= 0.05 scalable",
-            "split_residual: measured.max_split_residual <= 1e-6 scalable"),
+            "rel_difference: measured.max_rel_difference <= 0.05",
+            "split_residual: measured.max_split_residual <= 1e-6"),
         tables={"per_tau": (["tau", "rel_difference", "split_residual"],
                             rows)},
     )
@@ -992,8 +977,8 @@ def stretched_estimate(profiles, grid_sizes=(17, 25),
         constants={**{f"C_n{n}": c for n, c in zip(grid_sizes, fitted)},
                    "C_max": float(np.max(fitted))},
         criteria=_criteria(
-            "c_stability: measured.stability <= 0.25 scalable",
-            "c_finite: constants.C_max < inf fixed"),
+            "c_stability: measured.stability <= 0.25",
+            "c_finite: constants.C_max < inf"),
         tables={"per_tau": (["n", "tau", "vol_ratio", "bdry_ratio",
                              "grad_ratio"], rows)},
     )
@@ -1025,7 +1010,7 @@ def check_second_bc(profiles) -> CheckReport:
         params={"tau": complex(tau), "grid_sizes": list(grid_sizes)},
         orders={"observed": float(np.polyfit(np.log(hs), np.log(worsts),
                                              1)[0])},
-        criteria=_criteria("order_min: orders.observed >= 1.5 scalable"),
+        criteria=_criteria("order_min: orders.observed >= 1.5"),
         tables={"per_mesh": (["n", "h", "max_residual"], rows)},
     )
 
@@ -1101,9 +1086,9 @@ def check_stability(profiles, grid_sizes=(17, 25),
                   "blowup_ratio": blowup_ratio},
         constants={"dissipative_bound": 1.0},
         criteria=_criteria(
-            "fitted_c: measured.fitted_c <= 1.02 scalable",
-            "refine_growth: measured.refine_growth <= 1.10 scalable",
-            "blowup_ratio: measured.blowup_ratio <= 1.001 scalable"),
+            "fitted_c: measured.fitted_c <= 1.02",
+            "refine_growth: measured.refine_growth <= 1.10",
+            "blowup_ratio: measured.blowup_ratio <= 1.001"),
         tables={"ratios": (["n", "lambda", "ratio"], rows)},
     )
 

@@ -14,36 +14,36 @@ import pytest
 from paulipml import algebra, verify
 
 
-# (key, op, bound, scalable) of every report criterion, per check
+# (key, op, bound) of every report criterion, per check
 CONTRACT = {
-    "spectral_algebra": [("measured.max_residual", "<=", 1e-10, True)],
+    "spectral_algebra": [("measured.max_residual", "<=", 1e-10)],
     "projector_perturbation": [
-        ("orders.min_observed", ">=", 1.9, True),
-        ("measured.control_ratio", ">", 10.0, False)],
-    "helmholtz_identity": [("orders.observed", ">=", 3.5, True),
-                           ("measured.control_ratio", ">", 10.0, False)],
-    "neumann_identity": [("orders.observed", ">=", 1.8, True),
-                         ("measured.control_ratio", ">", 10.0, False)],
-    "transverse_identity": [("orders.min_observed", ">=", 1.8, True),
-                            ("measured.control_ratio", ">", 10.0, False)],
-    "m_bounds": [("measured.face_far_max", "<=", 1e-12, True),
-                 ("measured.sup_variation", "<=", 0.10, True),
-                 ("constants.grad_over_beta", "<", np.inf, False)],
-    "coercivity": [("measured.min_ratio", ">", 0.0, True)],
-    "coercivity_refinement": [("measured.min_ratio", ">", 0.0, True),
-                              ("measured.drift", "<=", 0.20, True)],
-    "stretched_estimate": [("measured.stability", "<=", 0.25, True),
-                           ("constants.C_max", "<", np.inf, False)],
-    "second_bc": [("orders.observed", ">=", 1.5, True)],
+        ("orders.min_observed", ">=", 1.9),
+        ("measured.control_ratio", ">", 10.0)],
+    "helmholtz_identity": [("orders.observed", ">=", 3.5),
+                           ("measured.control_ratio", ">", 10.0)],
+    "neumann_identity": [("orders.observed", ">=", 1.8),
+                         ("measured.control_ratio", ">", 10.0)],
+    "transverse_identity": [("orders.min_observed", ">=", 1.8),
+                            ("measured.control_ratio", ">", 10.0)],
+    "m_bounds": [("measured.face_far_max", "<=", 1e-12),
+                 ("measured.sup_variation", "<=", 0.10),
+                 ("constants.grad_over_beta", "<", np.inf)],
+    "coercivity": [("measured.min_ratio", ">", 0.0)],
+    "coercivity_refinement": [("measured.min_ratio", ">", 0.0),
+                              ("measured.drift", "<=", 0.20)],
+    "stretched_estimate": [("measured.stability", "<=", 0.25),
+                           ("constants.C_max", "<", np.inf)],
+    "second_bc": [("orders.observed", ">=", 1.5)],
     "laplace_consistency": [
-        ("measured.max_rel_difference", "<=", 0.05, True),
-        ("measured.max_split_residual", "<=", 1e-6, True)],
-    "stability": [("measured.fitted_c", "<=", 1.02, True),
-                  ("measured.refine_growth", "<=", 1.10, True),
-                  ("measured.blowup_ratio", "<=", 1.001, True)],
-    "reflection": [("measured.self_metric", "<=", 0.0, False),
-                   ("measured.max_pml_minus_bare", "<", 0.0, False),
-                   ("measured.max_pml_increase", "<", 0.0, False)],
+        ("measured.max_rel_difference", "<=", 0.05),
+        ("measured.max_split_residual", "<=", 1e-6)],
+    "stability": [("measured.fitted_c", "<=", 1.02),
+                  ("measured.refine_growth", "<=", 1.10),
+                  ("measured.blowup_ratio", "<=", 1.001)],
+    "reflection": [("measured.self_metric", "<=", 0.0),
+                   ("measured.max_pml_minus_bare", "<", 0.0),
+                   ("measured.max_pml_increase", "<", 0.0)],
 }
 
 
@@ -55,7 +55,7 @@ def _accept(num):
     assert entries, f"criterion {num} has no registry entry"
     for title, run in entries:
         rep = run()
-        declared = [(c.key, c.op, c.bound, c.scalable) for c in rep.criteria]
+        declared = [(c.key, c.op, c.bound) for c in rep.criteria]
         assert declared == CONTRACT[rep.name], \
             f"criterion {num}: {rep.name} criteria differ from the contract"
         for c in rep.criteria:
@@ -171,7 +171,7 @@ def test_nan_projector_fails_the_algebra_criteria(monkeypatch, number):
 
 def _at(c, past):
     """A value just inside (past=False) or just past (past=True) the
-    bound of criterion c at scale 1."""
+    bound of criterion c."""
     upper = c.op[0] == "<"
     if past == (len(c.op) == 1):   # strict ops fail exactly at the bound
         return c.bound
@@ -193,7 +193,7 @@ def _synthetic(check, past=None):
 @pytest.mark.parametrize("check", sorted(CONTRACT))
 def test_contract_inside_every_bound_passes(check):
     rep = _synthetic(check)
-    assert rep.passed and rep.verdict(2.0)
+    assert rep.passed
     assert verify.CheckReport.from_text(rep.to_text()).passed
 
 
@@ -201,15 +201,11 @@ def test_contract_inside_every_bound_passes(check):
                                       for i in range(len(CONTRACT[k]))])
 def test_contract_criterion_cannot_be_dropped(check, i):
     """Each contract condition alone fails its report: just past the
-    bound, at NaN, and, for the fixed ones, at any tolerance scale."""
+    bound and at NaN."""
     rep = _synthetic(check, past=i)
     c = rep.criteria[i]
     assert not rep.passed
     assert not verify.CheckReport.from_text(rep.to_text()).passed
-    if not c.scalable:
-        assert not rep.verdict(2.0) and not rep.verdict(0.5)
-    elif c.bound != 0:
-        assert rep.verdict(2.0) and not rep.verdict(0.5)
     section, name = c.key.split(".", 1)
     getattr(rep, section)[name] = np.nan
     assert not rep.passed

@@ -116,8 +116,8 @@ def test_the_audit_sees_positional_and_keyword_settings():
     keyword sets its name, and a method's self is not a position."""
     names = {q: (called_as, positional, optional)
              for q, called_as, positional, optional in _definitions()}
-    called_as, positional, optional = names["verify.Criterion.holds"]
-    assert (called_as, positional, optional) == ("holds", ["value", "scale"],
-                                                 ["scale"])
+    called_as, positional, optional = names["cli._Output.emit"]
+    assert (called_as, positional, optional) == ("emit", ["rep", "stem"],
+                                                 ["stem"])
     assert names["verify.TrigField.__init__"][0] == "TrigField"
     assert "verify.fit_order.factor" not in _unset_options()
