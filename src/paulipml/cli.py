@@ -196,8 +196,8 @@ def parse_config(path) -> ExperimentConfig:
             f"inner_fraction: {cfg.inner_fraction} outside (0, 1)")
     if cfg.T <= 0:
         value_errors.append(f"T: {cfg.T} must be positive")
-    if cfg.n < 5:
-        value_errors.append(f"n: {cfg.n} must be >= 5")
+    if cfg.n < Grid.MIN_NODES:
+        value_errors.append(f"n: {cfg.n} must be >= {Grid.MIN_NODES}")
     if not 0 <= cfg.start < cfg.half_length:
         value_errors.append(
             f"start: {cfg.start} outside [0, half_length)")

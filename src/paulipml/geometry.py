@@ -28,8 +28,6 @@ __all__ = [
     "BoxDomain",
     "RoundedBox",
     "BoundaryPoint",
-    "face_normal",
-    "face_axis_sign",
     "faces",
     "rounded_box_point",
     "sample_boundary",
@@ -45,37 +43,19 @@ def _norm(v):
     return np.sqrt(v[..., 0] ** 2 + v[..., 1] ** 2 + v[..., 2] ** 2)
 
 
-def face_normal(k: int) -> np.ndarray:
-    """Outward unit normal of face k in 1..6.
-
-    Faces 1-3 are the x_j = -L_j/2 planes (normal -e_j); faces 4-6 the
-    x_j = +L_j/2 planes (normal +e_j).
-    """
-    if not 1 <= k <= 6:
-        raise IndexError(f"face index {k} outside 1..6")
-    if k <= 3:
-        return -_EYE[k - 1].copy()
-    return _EYE[k - 4].copy()
-
-
-def face_axis_sign(k: int) -> tuple[int, int]:
-    """Axis (0-based) and sign of face k."""
-    if not 1 <= k <= 6:
-        raise IndexError(f"face index {k} outside 1..6")
-    return (k - 1, -1) if k <= 3 else (k - 4, +1)
-
-
 def faces():
     """Yield (k, axis, sign, normal, index) for the six faces, k = 1..6.
 
-    ``index`` picks the nodes of face k out of an (n1, n2, n3) node
-    array: the first or the last node along ``axis``.
+    Faces 1-3 are the x_j = -L_j/2 planes (normal -e_j); faces 4-6 the
+    x_j = +L_j/2 planes (normal +e_j).  ``axis`` is 0-based, ``normal``
+    a fresh array, and ``index`` picks the nodes of face k out of an
+    (n1, n2, n3) node array: the first or the last node along ``axis``.
     """
     for k in range(1, 7):
-        axis, sign = face_axis_sign(k)
+        axis, sign = (k - 1, -1) if k <= 3 else (k - 4, +1)
         index = [slice(None)] * 3
         index[axis] = -1 if sign > 0 else 0
-        yield k, axis, sign, face_normal(k), tuple(index)
+        yield k, axis, sign, sign * _EYE[axis], tuple(index)
 
 
 @dataclass(frozen=True)

@@ -890,8 +890,8 @@ def laplace_consistency(grid: Grid, profiles, tau_set, T: float = 10.0,
         fhat = src.spatial * _raised_cosine_hat(tau, t_off)
         r = ctx.ratios(pts)[None]  # tau/(tau + sigma_j) at the nodes
         F = np.zeros_like(fhat)
-        for j in range(3):
-            F += src.weights[j] * r[..., j] * fhat
+        for j in range(3):  # f_j = f / 3, the split of SourceSpec
+            F += (1 / 3) * r[..., j] * fhat
         op = freqdomain.assemble_stretched(ctx, grid, F)
         v = freqdomain.solve(op)
         rel = grid.norm(uhat - v) / max(grid.norm(v), 1e-300)
@@ -899,7 +899,7 @@ def laplace_consistency(grid: Grid, profiles, tau_set, T: float = 10.0,
         vsum = np.zeros_like(v)
         for j in range(3):
             dv = derivative(CENTERED2, v, j + 1, hsp[j])
-            vsum += (src.weights[j] * fhat
+            vsum += ((1 / 3) * fhat
                      - np.einsum("ab,b...->a...", A[j], dv)) \
                 * r[..., j] / tau
         inner = (slice(None), slice(1, -1), slice(1, -1), slice(1, -1))

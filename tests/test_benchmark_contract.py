@@ -45,13 +45,13 @@ def test_every_traced_name_resolves(spans):
 def test_recording_and_config_keep_the_traced_fields():
     fields = {f.name for f in dataclasses.fields(Recording)}
     assert {"traces", "splits", "probe_values"} <= fields
-    grid = Grid(BoxDomain((1.0, 1.0, 1.0)), (5, 5, 5))
+    grid = Grid(BoxDomain((1.0, 1.0, 1.0)), (8, 8, 8))
     assert SimConfig(grid, lam=2.0).lam == 2.0
 
 
 def test_weighted_norms_keep_the_gated_keys(workloads):
     """td_laplace gates the weighted volume and boundary norms of a run."""
-    grid = Grid(workloads.box(), (7, 7, 7))
+    grid = Grid(workloads.box(), (8, 8, 8))
     src = gaussian_source(grid, width=0.15 * workloads.HALF, t_off=0.5)
     rec = run(SimConfig(grid, T=0.5, stride=2), workloads.profiles(), src)
     norms = weighted_norms(rec, workloads.TD_LAMBDA)
@@ -62,10 +62,10 @@ def test_weighted_norms_keep_the_gated_keys(workloads):
 def test_solve_meets_the_fd_sweep_gate(workloads):
     """The tracer and fd_sweep read solve's (2, n1, n2, n3) field through
     workloads.relative_residual and gate it at 1e-8."""
-    grid = Grid(workloads.box(), (7, 7, 7))
+    grid = Grid(workloads.box(), (8, 8, 8))
     ctx = StretchContext(2.0 + 8.0j, workloads.profiles())
     F = gaussian_source(grid, width=0.15 * workloads.HALF).spatial
     op = freqdomain.assemble_stretched(ctx, grid, F)
     u = freqdomain.solve(op)
-    assert u.shape == (2, 7, 7, 7)
+    assert u.shape == (2, 8, 8, 8)
     assert workloads.relative_residual(op, u) <= 1e-8

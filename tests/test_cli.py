@@ -203,7 +203,7 @@ def test_timedomain_run_artifacts(tmp_path):
 
 def test_freqdomain_run_artifacts(tmp_path):
     text = ("[experiment]\nkind = freqdomain\n"
-            "[grid]\nn = 7\n[freq]\ntau = 2+1j\n")
+            "[grid]\nn = 8\n[freq]\ntau = 2+1j\n")
     cfgp = _write(tmp_path, text)
     out = tmp_path / "out"
     assert cli.main([str(cfgp), "--out", str(out)]) == 0

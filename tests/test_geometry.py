@@ -14,28 +14,24 @@ def rbox(unit_box):
 
 
 def test_face_normals_and_axes():
-    seen = []
-    for k in range(1, 7):
-        nu = geo.face_normal(k)
-        axis, sign = geo.face_axis_sign(k)
-        assert np.linalg.norm(nu) == 1.0
-        assert nu[axis] == sign
-        seen.append(tuple(nu))
-    assert len(set(seen)) == 6
+    """Faces 1-3 have normal -e_j, its zeros negative, and faces 4-6
+    +e_j; each face's index picks its nodes, and each normal is a fresh
+    array."""
+    normals = [(-1.0, -0.0, -0.0), (-0.0, -1.0, -0.0), (-0.0, -0.0, -1.0),
+               (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
     on_face = np.zeros((5, 6, 7), dtype=bool)
     listed = list(geo.faces())
     assert [f[0] for f in listed] == [1, 2, 3, 4, 5, 6]
-    for k, axis, sign, nu, index in listed:
-        assert (axis, sign) == geo.face_axis_sign(k)
-        assert np.array_equal(nu, geo.face_normal(k))
+    for (k, axis, sign, nu, index), want in zip(listed, normals):
+        assert (axis, sign) == ((k - 1) % 3, -1 if k <= 3 else 1)
+        assert np.array_equal(nu, want)
+        assert np.array_equal(np.signbit(nu), np.signbit(want))
         on_face[index] = True
     boundary = np.ones((5, 6, 7), dtype=bool)
     boundary[1:-1, 1:-1, 1:-1] = False
     assert np.array_equal(on_face, boundary)
-    with pytest.raises(IndexError):
-        geo.face_normal(0)
-    with pytest.raises(IndexError):
-        geo.face_axis_sign(7)
+    listed[0][3][0] = 7.0
+    assert next(geo.faces())[3][0] == -1.0
 
 
 def test_rounded_box_validation(unit_box):

@@ -1,12 +1,18 @@
-"""Every optional parameter of a function in ``src/paulipml`` is set by
-some call in ``src/``, ``demos/`` or ``perfbench/``, or is named in
-``KEPT`` with the reason it stays.  An option that only tests set is a
-constant in disguise: it widens the signature without serving a caller.
+"""Every optional parameter of a function in ``src/paulipml``, and every
+dataclass field with a plain default, is set by some call in ``src/``,
+``demos/`` or ``perfbench/``, or is named in ``KEPT`` with the reason it
+stays.  An option that only tests set is a constant in disguise: it
+widens the signature without serving a caller.
 
 Calls are matched to definitions by name alone (``f(...)``,
-``obj.f(...)``; a class call matches its ``__init__``), so two functions
-of one name share their callers.  A ``*args`` call sets every positional
-parameter from its position on, a ``**kwargs`` call sets them all."""
+``obj.f(...)``; a class call matches its ``__init__``, or the fields of
+a dataclass in their order), so two functions of one name share their
+callers.  A ``*args`` call sets every positional parameter from its
+position on, a ``**kwargs`` call sets them all.  A field is also set by
+``setattr``: by its constant name, or, where the name is computed, by
+any string constant of the calling module (the CLI sets its config's
+fields from the names in its key map).  Fields built by ``field(...)``
+hold state, such as the lists of a ``Recording``, and are not options."""
 
 import ast
 from collections import defaultdict
@@ -25,9 +31,17 @@ KEPT = {
 }
 
 
+def _is_named(node, name):
+    """Whether node is ``name`` or a call of it."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return isinstance(node, ast.Name) and node.id == name
+
+
 def _definitions():
     """(module.qualname, name calls use, positional parameters as a call
-    sees them, optional parameters) per def."""
+    sees them, optional parameters, whether they are dataclass fields)
+    per def and per dataclass."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
@@ -35,6 +49,16 @@ def _definitions():
         def visit(node, prefix, in_class):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, ast.ClassDef):
+                    if any(_is_named(d, "dataclass")
+                           for d in child.decorator_list):
+                        fields = [f for f in child.body
+                                  if isinstance(f, ast.AnnAssign)]
+                        out.append((
+                            ".".join((module,) + prefix + (child.name,)),
+                            child.name, [f.target.id for f in fields],
+                            [f.target.id for f in fields
+                             if f.value is not None
+                             and not _is_named(f.value, "field")], True))
                     visit(child, prefix + (child.name,), True)
                 elif isinstance(child, (ast.FunctionDef,
                                         ast.AsyncFunctionDef)):
@@ -52,7 +76,8 @@ def _definitions():
                     called_as = (prefix[-1] if in_class
                                  and child.name == "__init__" else child.name)
                     qualname = ".".join((module,) + prefix + (child.name,))
-                    out.append((qualname, called_as, positional, optional))
+                    out.append((qualname, called_as, positional, optional,
+                                False))
                     visit(child, prefix + (child.name,), False)
                 else:
                     visit(child, prefix, in_class)
@@ -62,13 +87,15 @@ def _definitions():
 
 
 def _calls():
-    """name -> [(positional count, keyword names)] over the caller dirs;
-    a count of None stands for ``*args``, a name of None for
-    ``**kwargs``."""
+    """(name -> [(positional count, keyword names)], names ``setattr``
+    may set) over the caller dirs; a count of None stands for ``*args``,
+    a name of None for ``**kwargs``."""
     calls = defaultdict(list)
+    attrs = set()
     for d in CALLER_DIRS:
         for path in sorted((ROOT / d).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
                 if not isinstance(node, ast.Call):
                     continue
                 f = node.func
@@ -76,17 +103,24 @@ def _calls():
                         else f.attr if isinstance(f, ast.Attribute) else None)
                 if name is None:
                     continue
+                if name == "setattr":
+                    attr = node.args[1]
+                    attrs.update(
+                        [attr.value] if isinstance(attr, ast.Constant)
+                        else (c.value for c in ast.walk(tree)
+                              if isinstance(c, ast.Constant)
+                              and isinstance(c.value, str)))
                 count = (None if any(isinstance(a, ast.Starred)
                                      for a in node.args) else len(node.args))
                 calls[name].append((count, {k.arg for k in node.keywords}))
-    return calls
+    return calls, attrs
 
 
 def _unset_options():
-    calls = _calls()
+    calls, attrs = _calls()
     unset = []
-    for qualname, called_as, positional, optional in _definitions():
-        set_here = set()
+    for qualname, called_as, positional, optional, fields in _definitions():
+        set_here = set(attrs) if fields else set()
         for count, keywords in calls.get(called_as, ()):
             if None in keywords:
                 set_here.update(optional)
@@ -115,9 +149,25 @@ def test_the_audit_sees_positional_and_keyword_settings():
     """The matcher itself: a positional argument sets its parameter, a
     keyword sets its name, and a method's self is not a position."""
     names = {q: (called_as, positional, optional)
-             for q, called_as, positional, optional in _definitions()}
+             for q, called_as, positional, optional, _ in _definitions()}
     called_as, positional, optional = names["cli._Output.emit"]
     assert (called_as, positional, optional) == ("emit", ["rep", "stem"],
                                                  ["stem"])
     assert names["verify.TrigField.__init__"][0] == "TrigField"
     assert "verify.fit_order.factor" not in _unset_options()
+
+
+def test_the_audit_sees_dataclass_fields():
+    """A dataclass is called with its fields in order; only plain
+    defaults are options, and setattr by a computed name sets the
+    fields its module names."""
+    names = {q: (called_as, positional, optional)
+             for q, called_as, positional, optional, _ in _definitions()}
+    assert names["timedomain.SimConfig"] == (
+        "SimConfig", ["grid", "cfl", "T", "probes", "stride", "lam"],
+        ["cfl", "T", "probes", "stride", "lam"])
+    assert names["timedomain.Recording"][2] == ["probe_points"]
+    config = names["cli.ExperimentConfig"]
+    assert len(config[2]) == 15
+    unset = _unset_options()
+    assert not [p for p in config[2] if f"cli.ExperimentConfig.{p}" in unset]

@@ -2,19 +2,19 @@
 energy behaviour, recordings, transforms, and external formats."""
 
 import csv
-import dataclasses
 import functools
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from paulipml import cli
 from paulipml import freqdomain as fd
 from paulipml import timedomain as td
 from paulipml.algebra import pauli_matrices, projector
-from paulipml.geometry import BoxDomain
-from paulipml.errors import StabilityError, TruncationWarning
-from paulipml.geometry import face_axis_sign, face_normal
+from paulipml.errors import StabilityError, TruncationWarning, ValidationError
+from paulipml.geometry import BoxDomain, faces
 from paulipml.stretching import AbsorptionProfile
 
 
@@ -38,17 +38,6 @@ def test_grid_metrics(grid):
     assert grid.norm(one) == pytest.approx(np.sqrt(8.0))
 
 
-def test_source_weights_must_sum_to_one(grid):
-    """Also when dataclasses.replace gives a source new weights."""
-    spatial = np.zeros((2, 13, 13, 13))
-    with pytest.raises(ValueError):
-        td.SourceSpec(spatial, lambda t: 1.0, 1.0, weights=(0.5, 0.5, 0.5))
-    src = td.gaussian_source(grid)
-    assert src.weights == (1 / 3, 1 / 3, 1 / 3)
-    with pytest.raises(ValueError):
-        dataclasses.replace(src, weights=(0.5, 0.5, 0.5))
-
-
 def test_gaussian_source_support_and_envelope(grid):
     src = td.gaussian_source(grid, width=0.2, t_off=1.0)
     x = grid.mesh()
@@ -60,33 +49,97 @@ def test_gaussian_source_support_and_envelope(grid):
     assert np.allclose(src(0.5), src.spatial)  # sin^2(pi/2) = 1
 
 
-def test_diff4_exact_on_quartics(grid):
-    x = grid.axes[1]
-    f = np.zeros((2, 13, 13, 13))
-    f[:] = (x ** 4 - 2 * x ** 2 + 3 * x)[None, None, :, None]
-    d = td.derivative(td.FOURTH, f, 2, grid.spacing[1])
-    want = (4 * x ** 3 - 4 * x + 3)[None, None, :, None] * np.ones_like(f)
-    assert np.allclose(d, want, atol=1e-10)
+# -- the reference derivative.  Each record of the stencil table has its
+# rows written out here by hand, never read from its ``low``: the
+# centered interior weights on offsets -m..m and the closure rows, both
+# in units of 1/h, with the polynomial degree each differentiates
+# exactly.  Changing a record in ``src/`` means changing its entry here.
+
+class _Rows(NamedTuple):
+    interior: np.ndarray
+    closure: np.ndarray  # row i on the first len(row) nodes
+    interior_degree: int
+    closure_degree: int
 
 
-# -- the reference kernel: 4th-order differences with tensordot end
-# closures, A_j applied by einsum, sigma_j re-evaluated and RK4 stages
-# allocated on every call.  The fused kernel must reproduce it.
+_CENTERED4 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+_ROWS = {
+    "FOURTH": _Rows(_CENTERED4,
+                    np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
+                              [-3.0, -10.0, 18.0, -6.0, 1.0]]) / 12.0,
+                    4, 4),
+    "CENTERED2": _Rows(np.array([-0.5, 0.0, 0.5]),
+                       np.array([[-1.5, 2.0, -0.5]]), 2, 2),
+    "PROBE": _Rows(_CENTERED4,
+                   np.array([[-11.0, 18.0, -9.0, 2.0, 0.0],
+                             [0.0, -11.0, 18.0, -9.0, 2.0]]) / 6.0, 4, 3),
+}
 
-_EDGE = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
-                  [-3.0, -10.0, 18.0, -6.0, 1.0]]) / 12.0
+
+def _ref_derivative(u, axis, h, rows):
+    """d/dx along ``axis`` by ``rows``: the interior weights in every
+    row, then the closure rows in the first rows and their mirror image,
+    negated, in the last."""
+    u = np.moveaxis(u, axis, 0)
+    n, m = len(u), len(rows.interior) // 2
+    out = np.zeros_like(u)
+    for k, c in enumerate(rows.interior):
+        if c:
+            out[m:n - m] += c * u[k:n - 2 * m + k]
+    for i, row in enumerate(rows.closure):
+        out[i] = np.tensordot(row, u[:len(row)], axes=(0, 0))
+        out[-1 - i] = -np.tensordot(row, u[::-1][:len(row)], axes=(0, 0))
+    return np.moveaxis(out / h, 0, axis)
 
 
-def _ref_diff4(f, axis, h):
-    f = np.moveaxis(f, axis, 0)
-    out = np.empty_like(f)
-    out[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / 12.0
-    for r in range(2):
-        out[r] = np.tensordot(_EDGE[r], f[:5], axes=(0, 0))
-        out[-1 - r] = -np.tensordot(_EDGE[r], f[-1:-6:-1], axes=(0, 0))
-    out /= h
-    return np.moveaxis(out, 0, axis)
+@pytest.mark.parametrize("name", list(_ROWS))
+def test_stencil_is_exact_to_its_order(name):
+    """The interior rows differentiate polynomials of the interior
+    degree exactly, and all rows, the closures included, those of the
+    closure degree; neither is exact one degree higher."""
+    rows = _ROWS[name]
+    stencil = getattr(td, name)
+    r = len(rows.closure)
+    x = np.linspace(-1.0, 1.0, 11)
+    for degree, inner in ((rows.interior_degree, slice(r, -r)),
+                          (rows.closure_degree, slice(None))):
+        for d, exact in ((degree, True), (degree + 1, False)):
+            p = np.polynomial.Polynomial(np.arange(1.0, d + 2.0))
+            f = np.zeros((2, 11, 8, 9))
+            f[:] = p(x)[None, :, None, None]
+            err = (td.derivative(stencil, f, 1, x[1] - x[0])
+                   - p.deriv()(x)[None, :, None, None])[:, inner]
+            assert (np.max(np.abs(err)) <= 1e-12) == exact, (d, inner)
 
+
+def test_node_floor_is_read_from_the_stencil_table(unit_box, tmp_path, rng):
+    """The floor is the fewest nodes that hold every record's closure
+    rows without overlap.  Grid and the CLI refuse one node less, naming
+    the same floor; at the floor each record matches its rows on every
+    axis."""
+    floor = td.Grid.MIN_NODES
+    assert floor == max(max(rows.closure.shape[1], 2 * len(rows.closure))
+                        for rows in _ROWS.values())
+    with pytest.raises(ValueError, match=f"n_j >= {floor} "):
+        td.Grid(unit_box, (floor, floor - 1, floor))
+    path = tmp_path / "floor.cfg"
+    path.write_text(f"[experiment]\nkind = timedomain\n"
+                    f"[grid]\nn = {floor - 1}\n")
+    with pytest.raises(ValidationError,
+                       match=f"^n: {floor - 1} must be >= {floor}$"):
+        cli.parse_config(path)
+    f = (rng.standard_normal((2,) + (floor,) * 3)
+         + 1j * rng.standard_normal((2,) + (floor,) * 3))
+    for name in _ROWS:
+        for axis in (1, 2, 3):
+            got = td.derivative(getattr(td, name), f, axis, 0.1)
+            want = _ref_derivative(f, axis, 0.1, _ROWS[name])
+            assert _rel(got, want) < 1e-13, (name, axis)
+
+
+# -- the reference kernel: the reference derivative by FOURTH's rows,
+# A_j applied by einsum, sigma_j re-evaluated and RK4 stages allocated
+# on every call.  The fused kernel must reproduce it.
 
 def _ref_rhs(U, profiles, source, t, grid):
     h = grid.spacing
@@ -98,10 +151,10 @@ def _ref_rhs(U, profiles, source, t, grid):
         shape = [1, 1, 1, 1]
         shape[j + 1] = grid.shape[j]
         sig = profiles[j](grid.axes[j]).reshape(shape)
-        out[j] = (-sig * U[j] - np.einsum("ab,b...->a...", A[j],
-                                          _ref_diff4(s, j + 1, h[j])))
+        d = _ref_derivative(s, j + 1, h[j], _ROWS["FOURTH"])
+        out[j] = -sig * U[j] - np.einsum("ab,b...->a...", A[j], d)
         if f is not None:
-            out[j] += source.weights[j] * f
+            out[j] += f / 3
     return out
 
 
@@ -120,15 +173,13 @@ def _ref_step(U, t, profiles, source, dt, grid):
 @pytest.fixture
 def skew_setup(rng):
     """A 9x10x11 grid on an unequal box with absorbing layers on every
-    axis, a source live on [0, 0.5] with unequal splitting weights, and
-    a random split state."""
+    axis, a source live on [0, 0.5], and a random split state."""
     box = BoxDomain((1.0, 1.1, 1.2), inner_fraction=0.5)
     grid = td.Grid(box, (9, 10, 11))
     profiles = tuple(AbsorptionProfile(a=0.5 * b, b=b, sigma0=4.0)
                      for b in box.h)
-    source = dataclasses.replace(
-        td.gaussian_source(grid, width=0.3, polarization=(1.0, 0.5j),
-                           t_off=0.5), weights=(0.5, 0.3, 0.2))
+    source = td.gaussian_source(grid, width=0.3, polarization=(1.0, 0.5j),
+                                t_off=0.5)
     U = (rng.standard_normal((3, 2, 9, 10, 11))
          + 1j * rng.standard_normal((3, 2, 9, 10, 11)))
     return grid, profiles, source, U
@@ -142,7 +193,7 @@ def test_diff4_matches_reference_on_every_axis(rng):
     f = rng.standard_normal((2, 9, 10, 11)) \
         + 1j * rng.standard_normal((2, 9, 10, 11))
     for axis in (1, 2, 3, -1):
-        want = _ref_diff4(f, axis, 0.1)
+        want = _ref_derivative(f, axis, 0.1, _ROWS["FOURTH"])
         assert _rel(td.derivative(td.FOURTH, f, axis, 0.1), want) < 1e-13
         out = np.empty_like(f)
         got = td.diff4(f, axis, out=out)
@@ -151,37 +202,15 @@ def test_diff4_matches_reference_on_every_axis(rng):
 
 
 # -- the derivative-stencil table.  CENTERED2 and PROBE are checked
-# against their stencils written out row by row on moved axes, and two
-# rescaled records of CENTERED2 against CENTERED2 itself.
-
-def _ref_centered(u, axis, h):
-    """Centered d/dx on the full array (one-sided 2nd order at ends)."""
-    u = np.moveaxis(u, axis, 0)
-    out = np.empty_like(u)
-    out[1:-1] = (u[2:] - u[:-2]) / 2.0
-    out[0] = (-1.5 * u[0] + 2.0 * u[1] - 0.5 * u[2])
-    out[-1] = (1.5 * u[-1] - 2.0 * u[-2] + 0.5 * u[-3])
-    return np.moveaxis(out / h, 0, axis)
-
-
-def _ref_probe(u, axis, h):
-    """d/dx with 4th-order centered interior and 3rd-order one-sided
-    closures."""
-    u = np.moveaxis(u, axis, 0)
-    out = np.empty_like(u)
-    out[2:-2] = (u[:-4] - 8 * u[1:-3] + 8 * u[3:-1] - u[4:]) / 12.0
-    c = np.array([-11.0, 18.0, -9.0, 2.0]) / 6.0
-    for r in range(2):
-        out[r] = sum(ci * u[r + i] for i, ci in enumerate(c))
-        out[-1 - r] = -sum(ci * u[-1 - r - i] for i, ci in enumerate(c))
-    return np.moveaxis(out / h, 0, axis)
-
+# against their reference rows on moved axes, and two rescaled records
+# of CENTERED2 against CENTERED2 itself.
 
 @pytest.mark.parametrize("complex_field", [False, True])
 @pytest.mark.parametrize("axis", [1, 2, 3, -1])
 @pytest.mark.parametrize("stencil, ref", [
-    (td.CENTERED2, _ref_centered),
-    (td.PROBE, _ref_probe),
+    (td.CENTERED2, functools.partial(_ref_derivative,
+                                     rows=_ROWS["CENTERED2"])),
+    (td.PROBE, functools.partial(_ref_derivative, rows=_ROWS["PROBE"])),
     # CENTERED2 with widest interior coefficient +-1/2 and denominator
     # +-1, so the widest difference is scaled by |c_m|
     (td.Stencil(((1, 0.5),), np.array([[-1.5, 2.0, -0.5]]), 1.0),
@@ -206,28 +235,22 @@ def test_diff4_is_the_fourth_stencil(rng):
                               td.derivative(td.FOURTH, f, axis))
 
 
-@pytest.mark.parametrize("n, half", [(5, 1.0), (13, 0.8), (17, 1.0)])
-def test_deriv1d_is_the_centered_stencil(n, half):
+@pytest.mark.parametrize("n, half", [(8, 1.0), (13, 0.8), (17, 1.0)])
+def test_deriv1d_is_the_centered_stencil(monkeypatch, n, half):
+    """The solve's n x n matrix is the record that it reads (today
+    CENTERED2) on the identity, and matches that record's rows."""
+    read = []
+
+    def spy(stencil, *args):
+        read.append(stencil)
+        return td.derivative(stencil, *args)
+    monkeypatch.setattr(fd, "derivative", spy)
     h = 2.0 * half / (n - 1)
     got = fd._deriv1d(n, h).toarray()
-    assert np.array_equal(got, td.derivative(td.CENTERED2, np.eye(n), 0, h))
-    assert _rel(got, _ref_centered(np.eye(n), 0, h)) <= 1e-15
-
-
-@pytest.mark.parametrize("stencil, degree", [(td.CENTERED2, 2),
-                                             (td.PROBE, 3)],
-                         ids=["CENTERED2", "PROBE"])
-def test_stencil_is_exact_to_its_order(stencil, degree):
-    """Every row, the end rows included, differentiates polynomials up
-    to the stencil's order exactly."""
-    x = np.linspace(-1.0, 1.0, 11)
-    coef = np.arange(1.0, degree + 2.0)  # 1 + 2x + 3x^2 (+ 4x^3)
-    p = np.polynomial.Polynomial(coef)
-    f = np.zeros((2, 11, 7, 6))
-    f[:] = p(x)[None, :, None, None]
-    got = td.derivative(stencil, f, 1, x[1] - x[0])
-    want = np.broadcast_to(p.deriv()(x)[None, :, None, None], f.shape)
-    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    stencil, = read
+    rows, = (v for k, v in _ROWS.items() if getattr(td, k) is stencil)
+    assert np.array_equal(got, td.derivative(stencil, np.eye(n), 0, h))
+    assert _rel(got, _ref_derivative(np.eye(n), 0, h, rows)) <= 1e-15
 
 
 def test_pauli_action_table_matches_the_matrices(rng):
@@ -336,10 +359,10 @@ def test_step_leaves_its_input_untouched(grid, bump_profiles, rng):
 def test_trapezoid_weights_are_the_tensor_product(rng):
     """Grid.norm and the face norm keep their weights per grid; they
     equal the weights built afresh."""
-    grid = td.Grid(BoxDomain((1.0, 1.1, 1.2)), (5, 6, 7))
+    grid = td.Grid(BoxDomain((1.0, 1.1, 1.2)), (8, 9, 10))
     w = [np.r_[0.5, np.ones(n - 2), 0.5] for n in grid.shape]
     vol = np.einsum("i,j,k->ijk", *w)
-    g = rng.standard_normal((2, 5, 6, 7))
+    g = rng.standard_normal((2, 8, 9, 10))
     want = np.sqrt(np.sum(vol * g ** 2) * grid.cell_volume())
     assert grid.norm(g) == pytest.approx(want, rel=1e-14)
     h = grid.spacing
@@ -358,13 +381,11 @@ def test_apply_boundary_kills_incoming_trace(grid, rng):
     s = state.trace
     # interior face nodes satisfy pi^-(nu) s = 0 exactly; edge and corner
     # nodes are rewritten by whichever face the sweep visits last
-    for k in range(1, 7):
-        axis, sign = face_axis_sign(k)
-        pim = projector(-1, face_normal(k))
+    for _, axis, _, nu, index in faces():
         idx = [slice(1, -1)] * 3
-        idx[axis] = -1 if sign > 0 else 0
+        idx[axis] = index[axis]
         face = s[(slice(None),) + tuple(idx)]
-        res = np.einsum("ab,b...->a...", pim, face)
+        res = np.einsum("ab,b...->a...", projector(-1, nu), face)
         assert np.max(np.abs(res)) < 1e-12
 
 
@@ -400,14 +421,10 @@ def test_boundary_condition_holds_after_run(grid, bump_profiles):
     rec = td.run(cfg, bump_profiles, src)
     s = rec.traces[-1]
     worst = 0.0
-    for k in range(1, 7):
-        axis, sign = face_axis_sign(k)
-        pim = projector(-1, face_normal(k))
-        idx = [slice(None)] * 3
-        idx[axis] = -1 if sign > 0 else 0
-        face = s[(slice(None),) + tuple(idx)]
+    for _, _, _, nu, index in faces():
+        face = s[(slice(None),) + index]
         worst = max(worst, np.max(np.abs(
-            np.einsum("ab,b...->a...", pim, face))))
+            np.einsum("ab,b...->a...", projector(-1, nu), face))))
     assert worst < 1e-3  # edge nodes carry the sequential-face residual
 
 
@@ -433,7 +450,7 @@ def test_stability_error_on_blowup(grid, zero_profiles):
 
 
 def test_sigma_dt_warning(unit_box):
-    grid = td.Grid(unit_box, (5, 5, 5))
+    grid = td.Grid(unit_box, (8, 8, 8))  # dt = 0.25, so sigma0 dt = 25
     profs = tuple(AbsorptionProfile(a=0.5, b=1.0, sigma0=100.0)
                   for _ in range(3))
     cfg = td.SimConfig(grid, cfl=1.0, T=0.5)
