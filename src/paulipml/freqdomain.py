@@ -432,15 +432,22 @@ class HelmholtzAssembly:
         return tuple(_bilinear(K, u, v)
                      for K in (self.stiffness, self.mass, self.boundary))
 
+    @cached_property
+    def _trial_constraint(self):
+        """Per face its node slice and pi^+(nu), and the multi-face
+        mask: built once, read by every ``project_trial``."""
+        projectors = tuple(((slice(None),) + index, algebra.projector(+1, nu))
+                           for _, _, _, nu, index in faces())
+        return projectors, _face_count(self.grid.shape) > 1
+
     def project_trial(self, u: np.ndarray) -> np.ndarray:
         """Constrain face nodes to the outgoing eigenspace E+(nu) and
         zero multi-face nodes."""
         out = u.copy()
-        for _, _, _, nu, index in faces():
-            pip = algebra.projector(+1, nu)
-            sl = (slice(None),) + index
+        projectors, multi_face = self._trial_constraint
+        for sl, pip in projectors:
             out[sl] = np.einsum("ab,b...->a...", pip, out[sl])
-        out[:, _face_count(self.grid.shape) > 1] = 0.0
+        out[:, multi_face] = 0.0
         return out
 
 

@@ -367,7 +367,8 @@ class Workspace:
     the factor being -(A_j)_{a,source} / (12 h_j).  ``sigma[j]`` is
     sigma_j at the nodes, shaped to broadcast against one split field,
     or None where sigma_j vanishes on the whole axis.  ``states`` are the
-    three buffers that the Horner levels of ``step`` rotate through.
+    two buffers that ``step`` alternates between: each step writes its
+    levels into the one that does not hold its input.
     """
 
     def __init__(self, grid: Grid, profiles):
@@ -380,7 +381,7 @@ class Workspace:
             along = [1, 1, 1]
             along[j] = len(x)
             self.sigma.append(sig.reshape(along) if sig.any() else None)
-        self.states = tuple(np.empty(shape, complex) for _ in range(3))
+        self.states = tuple(np.empty(shape, complex) for _ in range(2))
         self.trace = np.empty(shape[1:], complex)
         self.scratch = np.empty(shape[1:], complex)
 
@@ -400,14 +401,18 @@ def rhs(state: SplitState, source: SourceSpec | None, work: Workspace,
         out_j = base_j + scale (-sigma_j U^j - A_j d_j s + env f_j),
 
     s the trace and f_j = 1/3 of the source's spatial profile.  The
-    result is written to ``out``, which must be C-contiguous and overlap
-    neither U nor ``base``.  Each split field is formed from base and the
-    absorption term, then the derivative and source terms are added by
-    BLAS axpy on the flat arrays.
+    result is written to ``out``, which must be C-contiguous and must
+    not overlap ``base``; it may be U itself, since the trace is formed
+    first and split field j is read only before out_j is written.  Each
+    split field is formed from base and the absorption term, then the
+    derivative and source terms are added by BLAS axpy on the flat
+    arrays.
     """
     U = state.U
     if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
+    if np.may_share_memory(out, base):
+        raise ValueError("out must not overlap base")
     s = np.add(U[0], U[1], out=work.trace)
     s += U[2]
     axpy = get_blas_funcs("axpy", (out,))
@@ -484,19 +489,20 @@ def step(state: SplitState, source: SourceSpec | None, dt: float,
     y + dt L (y + dt/2 L (y + dt/3 L (y + dt/4 L y))), and the e are
     the source terms of k1..k4 gathered by their power of dt L.
 
-    ``state`` is left untouched.  The levels alternate between the two
-    of the workspace's three state buffers that do not hold
-    ``state.U``, so successive steps rotate through them.
+    ``state`` is left untouched.  Level 1 writes into the workspace
+    state buffer that does not hold ``state.U`` and levels 2-4 update
+    that buffer in place, so successive steps alternate between the
+    two.
     """
     t = state.t
     y = state.U
-    bufs = [buf for buf in work.states if buf is not y]
+    z = work.states[1] if work.states[0] is y else work.states[0]
     f0, fm, f1 = (_envelope(source, t + frac * dt) for frac in (0, 0.5, 1))
     levels = ((dt / 4, f0), (dt / 3, (f0 + fm) / 2),
               (dt / 2, (f0 + 2 * fm) / 3), (dt, (f0 + 4 * fm + f1) / 6))
-    z = y
-    for i, (c, e) in enumerate(levels):
-        z = rhs(SplitState(z, t), source, work, bufs[i % 2], c, y, e)
+    u = y
+    for c, e in levels:
+        u = rhs(SplitState(u, t), source, work, z, c, y, e)
     out = apply_boundary(SplitState(z, t + dt))
     # max |U| lies in [r, sqrt(2) r], r the largest |Re| or |Im|, so the
     # exact magnitude is needed only when sqrt(2) r reaches the guard

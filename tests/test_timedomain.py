@@ -287,6 +287,52 @@ def test_rhs_rejects_a_strided_out(skew_setup):
                out, 1.0, np.zeros_like(U), 1.0)
 
 
+@pytest.mark.parametrize("zero_axis", [None, 1])
+def test_rhs_in_place_matches_out_of_place(skew_setup, rng, zero_axis):
+    """Levels 2-4 of step write over their own input: rhs with out = U
+    gives the out-of-place result bit for bit, also where sigma vanishes
+    on one axis and the level copies the base."""
+    grid, profiles, source, U = skew_setup
+    if zero_axis is not None:
+        profiles = list(profiles)
+        profiles[zero_axis] = AbsorptionProfile.zero(grid.box.h[zero_axis])
+    work = td.Workspace(grid, profiles)
+    base = (rng.standard_normal(U.shape)
+            + 1j * rng.standard_normal(U.shape))
+    env = td._envelope(source, 0.3)
+    want = td.rhs(td.SplitState(U, 0.3), source, work, np.empty_like(U),
+                  0.07, base, env)
+    inout = U.copy()
+    got = td.rhs(td.SplitState(inout, 0.3), source, work, inout, 0.07,
+                 base, env)
+    assert got is inout
+    assert np.array_equal(got, want)
+
+
+def test_rhs_rejects_out_overlapping_base(skew_setup):
+    """out = base would scale the base before adding it, so it is
+    refused."""
+    grid, profiles, source, U = skew_setup
+    base = np.zeros_like(U)
+    with pytest.raises(ValueError, match="overlap base"):
+        td.rhs(td.SplitState(U, 0.3), source, td.Workspace(grid, profiles),
+               base, 1.0, base, 1.0)
+
+
+def test_steps_alternate_between_two_buffers(skew_setup):
+    """The workspace holds two state buffers and each step writes into
+    the one that does not hold its input."""
+    grid, profiles, source, U = skew_setup
+    work = td.Workspace(grid, profiles)
+    assert len(work.states) == 2
+    state = td.SplitState(U.copy(), 0.0)
+    for i in range(5):
+        prev = state.U
+        state = td.step(state, source, 0.1, work)
+        assert state.U is work.states[i % 2]
+        assert state.U is not prev
+
+
 def test_fused_steps_match_reference(skew_setup):
     """Eight steps through one workspace, as run takes them, across the
     source switch-off at t = 0.5."""

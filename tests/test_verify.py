@@ -5,11 +5,12 @@ determinism."""
 import dataclasses
 import signal
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from paulipml import cli, verify
+from paulipml import cli, freqdomain, verify
 from paulipml.errors import TruncationWarning
 from paulipml.timedomain import (FrameSeries, SimConfig, gaussian_source,
                                  replay, run)
@@ -131,6 +132,21 @@ def test_trig_field_batched_evaluation():
     assert batch.shape == (4, 5, 2)
     assert np.allclose(batch[2, 3], w(pts[2, 3]))
     assert np.allclose(w.partial(1, pts)[1, 4], w.partial(1, pts[1, 4]))
+
+
+@pytest.mark.parametrize("kmax", [1, 2])
+def test_trig_field_on_grid_matches_pointwise(kmax):
+    """The product-of-axis-factors evaluation equals the field evaluated
+    at every mesh point, on an unequal box and grid."""
+    grid = verify.Grid(BoxDomain((1.0, 1.1, 1.2), inner_fraction=0.5),
+                       (8, 9, 10))
+    pts = np.moveaxis(grid.mesh(), 0, -1)
+    for seed in range(5):
+        w = verify.TrigField(seed=seed, kmax=kmax)
+        want = np.moveaxis(w(pts), -1, 0)
+        got = w.on_grid(grid.axes)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_trig_field_entire():
@@ -696,3 +712,84 @@ def test_inner_difference_pairs_frames_by_time(unit_box):
     with pytest.raises(ValueError, match="no reference frame"):
         run(SimConfig(grid, cfl=0.5, T=0.625, stride=1), _profiles(), src,
             reducers=[verify._InnerDifference(ref, 0.5)])
+
+
+# -- coercivity ------------------------------------------------------------
+
+def _held_trial_fields(asm, n_fields, seed, grid):
+    """The held-list form of the trial fields: every field evaluated
+    point by point on the mesh and kept."""
+    rng = np.random.default_rng(seed)
+    mesh = grid.mesh()
+    out = []
+    for i in range(n_fields):
+        w = verify.TrigField(seed=int(rng.integers(1 << 30)), kmax=2)
+        pts = np.moveaxis(mesh, 0, -1)
+        vals = np.moveaxis(w(pts), -1, 0)
+        if i % 3 == 2:
+            # boundary-concentrated profile
+            gap = np.min(grid.box.h[:, None, None, None] - np.abs(mesh),
+                         axis=0)
+            vals = vals * np.exp(-gap / 0.1)[None]
+        u = asm.project_trial(vals)
+        if np.max(np.abs(u)) < 1e-12:
+            continue
+        out.append(u)
+    return out
+
+
+def _coercivity_reference(profiles, grid, tau_list, n_fields, seed):
+    """Per tau the smallest ratio over fields held across every pass,
+    and the number of fields."""
+    asm0 = verify._unit_assembly(grid)
+    fields = _held_trial_fields(asm0, n_fields, seed, grid)
+    parts = [[z.real for z in asm0.form_parts(u, np.conj(u))]
+             for u in fields]
+    mins = []
+    for tau in map(complex, tau_list):
+        asm = freqdomain.assemble_helmholtz(
+            StretchContext(tau, tuple(profiles)), grid)
+        ratios = []
+        for u, (k0, m0, b0) in zip(fields, parts):
+            bundle = (abs(tau) * tau.real * m0
+                      + (tau.real / abs(tau)) * (abs(tau) * b0 + k0))
+            if bundle > 0:
+                ratios.append(abs(asm.form(u, np.conj(u))) / bundle)
+        mins.append(min(ratios))
+    return mins, len(fields)
+
+
+def test_streamed_coercivity_matches_held_fields():
+    """Regenerating the fields on every pass gives the ratios of the
+    fields held across all passes."""
+    grid = verify.Grid(BoxDomain((1.0,) * 3, inner_fraction=0.5), (9, 9, 9))
+    taus = (4.0 + 1.0j, 2.0 - 1.0j)
+    mins, count = _coercivity_reference(_profiles(), grid, taus, 12, 0)
+    rep = verify.check_coercivity(_profiles(), grid, taus, n_fields=12,
+                                  seed=0)
+    rows = rep.tables["per_tau"][1]
+    assert [row[2] for row in rows] == [count] * len(taus)
+    for row, want in zip(rows, mins):
+        assert abs(row[1] - want) <= 1e-13 * want
+    assert abs(rep.measured["min_ratio"] - min(mins)) <= 1e-13 * min(mins)
+
+
+def test_coercivity_holds_one_trial_field_at_a_time(monkeypatch):
+    """When project_trial builds a field, at most one field it built
+    earlier is still alive: the fields are streamed, not held."""
+    built, most_alive = [], [0]
+    real = freqdomain.HelmholtzAssembly.project_trial
+
+    def spy(self, u):
+        most_alive[0] = max(most_alive[0],
+                            sum(ref() is not None for ref in built))
+        out = real(self, u)
+        built.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(freqdomain.HelmholtzAssembly, "project_trial", spy)
+    grid = verify.Grid(BoxDomain((1.0,) * 3, inner_fraction=0.5), (9, 9, 9))
+    verify.check_coercivity(_profiles(), grid, (4.0 + 1.0j, 2.0 - 1.0j),
+                            n_fields=12, seed=0)
+    assert len(built) == 3 * 12
+    assert most_alive[0] <= 1
