@@ -191,6 +191,9 @@ def parse_config(path) -> ExperimentConfig:
         value_errors.append(f"sigma0: {cfg.sigma0} must be >= 0")
     if not 0 < cfg.delta < 1:
         value_errors.append(f"delta: {cfg.delta} outside (0, 1)")
+    elif not cfg.delta / 2 < cfg.half_length:
+        value_errors.append(f"delta: {cfg.delta} needs delta / 2 < "
+                            f"half_length = {cfg.half_length}")
     if not 0 < cfg.inner_fraction < 1:
         value_errors.append(
             f"inner_fraction: {cfg.inner_fraction} outside (0, 1)")

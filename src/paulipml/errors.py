@@ -19,7 +19,7 @@ class AssemblyError(ValueError):
 
 
 class SingularOperatorError(ArithmeticError):
-    """Direct factorization detected a (numerically) singular operator."""
+    """The post-solve residual shows a (numerically) singular operator."""
 
 
 class NonConvergenceError(ArithmeticError):

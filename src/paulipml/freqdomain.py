@@ -124,10 +124,6 @@ class SparseComplexOperator:
     grid: Grid
     ctx: StretchContext
 
-    def triplets(self):
-        coo = self.matrix.tocoo()
-        return coo.row, coo.col, coo.data
-
 
 def assemble_stretched(ctx: StretchContext, grid: Grid,
                        F: np.ndarray) -> SparseComplexOperator:
@@ -414,7 +410,6 @@ class HelmholtzAssembly:
     """
 
     grid: Grid
-    ctx: StretchContext
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
     boundary: sp.csr_matrix
@@ -477,13 +472,14 @@ def assemble_helmholtz(ctx: StretchContext, grid: Grid) -> HelmholtzAssembly:
         _line_matrix(ctx.Phi(_axis_line(g, k), nu), h[k], _N) if k != axis
         else sp.diags(np.eye(len(g) + 1)[index[k]], format="csr")
         for k, g in enumerate(gx)]) for _, axis, _, nu, index in faces())
-    return HelmholtzAssembly(grid, ctx, K, M, B)
+    return HelmholtzAssembly(grid, K, M, B)
 
 
 def export_matrix(path, op: SparseComplexOperator) -> None:
     """Coordinate-format text dump: one 'row col re im' line per
     nonzero."""
-    r, c, v = op.triplets()
+    coo = op.matrix.tocoo()
+    r, c, v = coo.row, coo.col, coo.data
     with open(path, "w") as fh:
         # formatted a block at a time, so the text never holds the
         # whole matrix at once

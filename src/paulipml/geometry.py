@@ -32,7 +32,6 @@ __all__ = [
     "rounded_box_point",
     "sample_boundary",
     "singular_distance",
-    "rounded_box_area",
 ]
 
 _EYE = np.eye(3)
@@ -132,8 +131,7 @@ class BoundaryPoint:
 
     ``x`` and ``nu`` have shape (..., 3) and ``kind`` shape (...): 0 on
     a flat face, 1 on an edge strip, 2 on a corner cap.  One point is
-    the zero-dimensional case.  ``weight`` holds the quadrature weights
-    of a sample_boundary set.  Indexing the leading axis selects
+    the zero-dimensional case.  Indexing the leading axis selects
     points, and a stack iterates over its single points.
     """
 
@@ -141,7 +139,6 @@ class BoundaryPoint:
     nu: np.ndarray
     kind: np.ndarray
     box: RoundedBox
-    weight: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -150,9 +147,8 @@ class BoundaryPoint:
         return (self[i] for i in range(len(self)))
 
     def __getitem__(self, index) -> "BoundaryPoint":
-        weight = None if self.weight is None else self.weight[index]
         return BoundaryPoint(self.x[index], self.nu[index], self.kind[index],
-                             self.box, weight)
+                             self.box)
 
     @property
     def kappa(self) -> np.ndarray:
@@ -234,32 +230,26 @@ def rounded_box_point(q: RoundedBox, x) -> BoundaryPoint:
                  np.clip(x, -q.core_h, q.core_h) + r * nu), nu, kind, q)
 
 
-def rounded_box_area(q: RoundedBox) -> float:
-    """Closed-form surface area: faces + cylinder strips + sphere."""
-    h = q.core_h
-    r = q.radius
-    faces = 8.0 * (h[0] * h[1] + h[0] * h[2] + h[1] * h[2])
-    edges = 4.0 * np.pi * r * float(np.sum(h))
-    corners = 4.0 * np.pi * r ** 2
-    return faces + edges + corners
-
-
-def _gauss(n: int, a: float, b: float):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+def _gauss(n: int, a: float, b: float) -> np.ndarray:
+    """The n Gauss-Legendre nodes of [a, b]."""
+    x, _ = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (b - a) * x + 0.5 * (a + b)
 
 
 def _grid(u, v):
-    """Flattened product grid of two node (or weight) arrays, u outer."""
+    """Flattened product grid of two node arrays, u outer."""
     return (a.ravel() for a in np.meshgrid(u, v, indexing="ij"))
 
 
 def sample_boundary(q: RoundedBox, density: float = 100.0) -> BoundaryPoint:
-    """Per-patch product quadrature of the boundary of Q_delta.
+    """Boundary points of Q_delta on a product grid per patch.
 
     Returns the stacked points, faces first, then edge strips, then
-    corner caps; ``weight`` sums to the surface area (seams carry no
-    nodes).  ``density`` is the target number of points per unit area.
+    corner caps; the seams carry none.  ``density`` is the target number
+    of points per unit area.  The checks read values at the points and
+    integrate nothing over them, yet each patch coordinate keeps its
+    Gauss-Legendre nodes: other nodes would move every check value
+    read from the samples.
     """
     if density <= 0:
         raise ValueError("density must be positive")
@@ -268,37 +258,31 @@ def sample_boundary(q: RoundedBox, density: float = 100.0) -> BoundaryPoint:
     def npts(length):
         return max(2, int(np.ceil(length * lin)))
 
-    r = q.radius
-    h = q.core_h
-    xs, nus, kinds, ws = [], [], [], []
+    r, h = q.radius, q.core_h
+    arc = _gauss(npts(np.pi * r / 2), 0.0, np.pi / 2)
+    xs, nus, kinds = [], [], []
 
-    def add(x, nu, kind, w):
+    def add(x, nu, kind):
         xs.append(x)
         nus.append(np.broadcast_to(nu, x.shape))
         kinds.append(np.full(len(x), kind))
-        ws.append(w)
 
     # faces
     for axis in range(3):
         i1, i2 = [i for i in range(3) if i != axis]
-        u, wu = _gauss(npts(2 * h[i1]), -h[i1], h[i1])
-        v, wv = _gauss(npts(2 * h[i2]), -h[i2], h[i2])
-        a, b = _grid(u, v)
-        wa, wb = _grid(wu, wv)
+        a, b = _grid(_gauss(npts(2 * h[i1]), -h[i1], h[i1]),
+                     _gauss(npts(2 * h[i2]), -h[i2], h[i2]))
         for sign in (-1, 1):
             x = np.zeros((len(a), 3))
             x[:, axis] = sign * q.parent.h[axis]
             x[:, i1], x[:, i2] = a, b
-            add(x, sign * _EYE[axis], 0, wa * wb)
+            add(x, sign * _EYE[axis], 0)
 
     # edge strips
     for i in range(3):
         for j in range(i + 1, 3):
             k = 3 - i - j
-            phis, wp = _gauss(npts(np.pi * r / 2), 0.0, np.pi / 2)
-            ts, wt = _gauss(npts(2 * h[k]), -h[k], h[k])
-            phi, t = _grid(phis, ts)
-            wphi, wtt = _grid(wp, wt)
+            phi, t = _grid(arc, _gauss(npts(2 * h[k]), -h[k], h[k]))
             for si in (-1, 1):
                 for sj in (-1, 1):
                     nu = np.zeros((len(phi), 3))
@@ -308,14 +292,10 @@ def sample_boundary(q: RoundedBox, density: float = 100.0) -> BoundaryPoint:
                     c[:, i] = si * h[i]
                     c[:, j] = sj * h[j]
                     c[:, k] = t
-                    add(c + r * nu, nu, 1, r * wphi * wtt)
+                    add(c + r * nu, nu, 1)
 
     # corner caps (octant of the sphere, local polar coordinates)
-    nang = npts(np.pi * r / 2)
-    th, wth = _gauss(nang, 0.0, np.pi / 2)
-    ph, wph = _gauss(nang, 0.0, np.pi / 2)
-    t, p = _grid(th, ph)
-    wt, wp_ = _grid(wth, wph)
+    t, p = _grid(arc, arc)
     local = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p),
                       np.cos(t)], axis=-1)
     for s1 in (-1, 1):
@@ -323,9 +303,9 @@ def sample_boundary(q: RoundedBox, density: float = 100.0) -> BoundaryPoint:
             for s3 in (-1, 1):
                 signs = np.array([s1, s2, s3], dtype=float)
                 n0 = signs * local
-                add(signs * h + r * n0, n0, 2, r ** 2 * np.sin(t) * wt * wp_)
+                add(signs * h + r * n0, n0, 2)
     return BoundaryPoint(np.concatenate(xs), np.concatenate(nus),
-                         np.concatenate(kinds), q, np.concatenate(ws))
+                         np.concatenate(kinds), q)
 
 
 def singular_distance(b: BoxDomain, x):

@@ -240,6 +240,25 @@ def test_negative_lambda_stability_run_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, half, delta", [
+    ("check:transverse", 0.1, 0.3),
+    ("check:m_bounds", 0.2, 0.5),
+    ("check:m_bounds", 0.15, 0.3)])
+def test_delta_too_large_for_the_box_is_a_config_error(tmp_path, capsys,
+                                                       kind, half, delta):
+    """The rounded box needs delta / 2 < half_length.  A config past it,
+    or at it, is caught at parse time, before the output directory
+    exists."""
+    text = (f"[experiment]\nkind = {kind}\n[domain]\nhalf_length = {half}\n"
+            f"delta = {delta}\n[profile]\nstart = {half / 2}\n")
+    with pytest.raises(ValidationError, match="delta: .* half_length"):
+        cli.parse_config(_write(tmp_path, text))
+    out = tmp_path / "out"
+    assert cli.main([str(_write(tmp_path, text)), "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main([str(_write(tmp_path, GOOD)), "--out", str(out),

@@ -1,5 +1,5 @@
 """Rounded-box geometry: classification, normals, curvature, charts,
-quadrature against the closed-form area."""
+and the boundary samples on every patch."""
 
 import numpy as np
 import pytest
@@ -107,21 +107,23 @@ def test_chart_properties(rbox):
         assert abs(rbox.signed_distance(bp.chart(a))) < 1e-12
 
 
-def test_area_quadrature(rbox):
-    samples = geo.sample_boundary(rbox, density=40.0)
-    total = sum(samples.weight)
-    assert total == pytest.approx(geo.rounded_box_area(rbox), rel=2e-4)
-    for bp in samples[::37]:
-        assert bp.weight > 0
-        assert abs(rbox.signed_distance(bp.x)) < 1e-12
-        assert np.linalg.norm(bp.nu) == pytest.approx(1.0)
-
-
-def test_area_closed_form(unit_box):
-    # delta -> 0 recovers the box area 24
-    for delta in (0.2, 0.05, 0.0125):
+def test_samples_lie_on_every_patch(unit_box):
+    """Every sample lies on the boundary with a unit normal, and each of
+    the 26 patches (6 faces, 12 edge strips, 8 corner caps) carries
+    samples of its own kind.  A patch is the set of points beyond the
+    shrunk box along the same axes on the same sides."""
+    for delta in (0.3, 0.0375):
         q = geo.RoundedBox(unit_box, delta)
-        assert abs(geo.rounded_box_area(q) - 24.0) < 25.0 * delta
+        s = geo.sample_boundary(q, density=40.0)
+        assert np.max(np.abs(q.signed_distance(s.x))) < 1e-12
+        assert np.allclose(np.linalg.norm(s.nu, axis=-1), 1.0,
+                           rtol=0, atol=1e-15)
+        side = np.sign(s.x) * (np.abs(s.x) > q.core_h)
+        assert np.array_equal(np.count_nonzero(side, axis=-1), s.kind + 1)
+        patches = {tuple(p) for p in side}
+        assert len(patches) == 26
+        assert [sum(np.count_nonzero(p) == k + 1 for p in patches)
+                for k in (0, 1, 2)] == [6, 12, 8]
 
 
 def test_singular_distance(unit_box):
